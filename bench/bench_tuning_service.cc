@@ -1,29 +1,39 @@
 /// \file bench_tuning_service.cc
 /// \brief Tuning-as-a-service throughput and tail latency (DESIGN.md
 /// section 15): a seeded Poisson open-loop load generator drives a
-/// TPC-H/TPC-DS query mix through the TuningService in two configs —
-/// "naive" (per-session solves: inference batching disabled, shared
-/// cross-query eval cache off) and "batched+shared" (both on) — on both
-/// the analytic and the learned objective-model axis.
+/// recurring TPC-H/TPC-DS query mix through three configs on both the
+/// analytic and the learned objective-model axis:
+///  - "naive": per-request solves with no service mechanism — the same
+///    model stack (SolveCompileTimeFront) on a pool of `sessions`
+///    threads, no front memo, no inference batcher;
+///  - "service": the shipped TuningService (front memo + batcher);
+///  - "service_nobatcher": the service with the batcher off.
+/// An untimed warm-up pass precedes the first timed config, so no config
+/// pays the process's cold start.
 ///
 /// Phase 1 (capacity): an overload-rate Poisson schedule with an
-/// unbounded-enough queue measures each config's sustained requests/sec.
-/// Phase 2 (tail latency): both configs are re-run at one common offered
-/// load (a fraction of the *naive* capacity, so both are stable) and
-/// p50/p99 solve and sojourn latency are read from the service's own
-/// histograms. Because the service is deterministic by construction, the
-/// two configs must produce bitwise-identical Pareto fronts — the
-/// "fronts_identical" field is the proof that the speedup is measured at
-/// exactly equal solution quality (equal hypervolume by identity).
+/// unbounded-enough queue measures each config's sustained requests/sec;
+/// `speedup` is the shipped service over naive. Phase 2 (tail latency):
+/// every config is re-run at one common offered load (half the *naive*
+/// capacity, so all are stable) and p50/p99 solve and sojourn latency
+/// are read from the configs' own histograms. Because the service is
+/// deterministic by construction, every config must produce
+/// bitwise-identical Pareto fronts — the "fronts_identical" field is the
+/// proof that the speedup is measured at exactly equal solution quality
+/// (equal hypervolume by identity).
 
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/thread_pool.h"
+#include "obs/trace.h"
 #include "service/load_gen.h"
 #include "service/model_bootstrap.h"
 #include "service/tuning_service.h"
@@ -79,27 +89,80 @@ struct RunStats {
   double achieved_rps = 0.0;
   uint64_t completed = 0;
   uint64_t rejected = 0;
+  uint64_t memo_hits = 0;
   double p50_solve_ms = 0.0, p99_solve_ms = 0.0;
   double p50_sojourn_ms = 0.0, p99_sojourn_ms = 0.0;
   /// query name -> front of the first completed request for it.
   std::map<std::string, std::vector<ObjectiveVector>> fronts;
 };
 
+/// The "naive" config: every request solves its front from scratch on
+/// one of `sessions` pool threads, through the same model stack the
+/// service's memo-miss path uses, with no memo and no batcher.
+class NaiveSolver {
+ public:
+  NaiveSolver(const ArtifactRegistry* registry, int sessions)
+      : snap_(registry->Current()),
+        pool_(sessions, /*dedicated_single_worker=*/true) {}
+
+  std::future<Result<TuningServiceResult>> Submit(TuningRequest req) {
+    auto promise =
+        std::make_shared<std::promise<Result<TuningServiceResult>>>();
+    auto future = promise->get_future();
+    const auto enqueue = std::chrono::steady_clock::now();
+    pool_.Post([this, promise, req = std::move(req), enqueue] {
+      obs::ScopedSpanSuppression suppress;  // spans are main-thread-only
+      const auto start = std::chrono::steady_clock::now();
+      auto moo = SolveCompileTimeFront(*snap_, *snap_->FindQuery(req.query_name),
+                                       TuningServiceOptions().seed,
+                                       /*sink=*/nullptr);
+      const auto end = std::chrono::steady_clock::now();
+      solve_us_.Observe(Micros(start, end));
+      sojourn_us_.Observe(Micros(enqueue, end));
+      if (!moo.ok()) {
+        promise->set_value(moo.status());
+        return;
+      }
+      TuningServiceResult r;
+      r.query_name = req.query_name;
+      r.moo = **moo;
+      promise->set_value(std::move(r));
+    });
+    return future;
+  }
+
+  const obs::Histogram& solve_latency_us() const { return solve_us_; }
+  const obs::Histogram& sojourn_us() const { return sojourn_us_; }
+
+ private:
+  static double Micros(std::chrono::steady_clock::time_point a,
+                       std::chrono::steady_clock::time_point b) {
+    return std::chrono::duration<double, std::micro>(b - a).count();
+  }
+
+  std::shared_ptr<const ServiceArtifacts> snap_;
+  obs::Histogram solve_us_;
+  obs::Histogram sojourn_us_;
+  ThreadPool pool_;  // last: joined before the histograms go away
+};
+
+struct Config {
+  const char* name;
+  bool service;
+  bool batcher;
+};
+constexpr Config kConfigs[] = {{"naive", false, false},
+                               {"service", true, true},
+                               {"service_nobatcher", true, false}};
+
 /// Submits `n` requests round-robin over the artifact's query mix at the
 /// pre-drawn Poisson arrival times, waits for every future, and reports
-/// sustained throughput plus the service-histogram latency percentiles.
-RunStats RunOpenLoop(ArtifactRegistry* registry, bool batched_shared,
-                     int sessions, double offered_rps, size_t n,
-                     size_t queue_capacity, uint64_t seed) {
-  TuningServiceOptions opts;
-  opts.sessions = sessions;
-  opts.queue_capacity = queue_capacity;
-  opts.batcher.enabled = batched_shared;
-  opts.shared_cache_enabled = batched_shared;
-  TuningService service(registry, opts);
-
+/// sustained throughput plus the target's latency-histogram percentiles.
+template <typename Target>
+RunStats Drive(Target* target, const ArtifactRegistry& registry,
+               double offered_rps, size_t n, uint64_t seed) {
   std::vector<std::string> mix;
-  for (const auto& [name, q] : registry->Current()->queries()) {
+  for (const auto& [name, q] : registry.Current()->queries()) {
     (void)q;
     mix.push_back(name);
   }
@@ -112,7 +175,7 @@ RunStats RunOpenLoop(ArtifactRegistry* registry, bool batched_shared,
     std::this_thread::sleep_until(
         start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(schedule[i])));
-    futures.push_back(service.Submit({mix[i % mix.size()]}));
+    futures.push_back(target->Submit({mix[i % mix.size()]}));
   }
 
   RunStats out;
@@ -131,15 +194,32 @@ RunStats RunOpenLoop(ArtifactRegistry* registry, bool batched_shared,
           .count();
   out.sustained_rps = out.completed / elapsed;
   out.achieved_rps = out.sustained_rps;
-  out.p50_solve_ms = service.solve_latency_us().Percentile(0.50) / 1e3;
-  out.p99_solve_ms = service.solve_latency_us().Percentile(0.99) / 1e3;
-  out.p50_sojourn_ms = service.sojourn_us().Percentile(0.50) / 1e3;
-  out.p99_sojourn_ms = service.sojourn_us().Percentile(0.99) / 1e3;
+  out.p50_solve_ms = target->solve_latency_us().Percentile(0.50) / 1e3;
+  out.p99_solve_ms = target->solve_latency_us().Percentile(0.99) / 1e3;
+  out.p50_sojourn_ms = target->sojourn_us().Percentile(0.50) / 1e3;
+  out.p99_sojourn_ms = target->sojourn_us().Percentile(0.99) / 1e3;
+  return out;
+}
+
+RunStats RunOpenLoop(ArtifactRegistry* registry, const Config& config,
+                     int sessions, double offered_rps, size_t n,
+                     size_t queue_capacity, uint64_t seed) {
+  if (!config.service) {
+    NaiveSolver naive(registry, sessions);
+    return Drive(&naive, *registry, offered_rps, n, seed);
+  }
+  TuningServiceOptions opts;
+  opts.sessions = sessions;
+  opts.queue_capacity = queue_capacity;
+  opts.batcher.enabled = config.batcher;
+  TuningService service(registry, opts);
+  RunStats out = Drive(&service, *registry, offered_rps, n, seed);
+  out.memo_hits = service.stats().memo_hits;
   return out;
 }
 
 /// Exact per-query front identity between two runs: the determinism
-/// contract says the cache and the batcher must not move a single bit.
+/// contract says the memo and the batcher must not move a single bit.
 bool FrontsIdentical(const RunStats& a, const RunStats& b) {
   if (a.fronts.size() != b.fronts.size()) return false;
   for (const auto& [name, front] : a.fronts) {
@@ -171,31 +251,42 @@ void RunAxis(const char* model, bool learned) {
   const size_t n_capacity = FastMode() ? 72 : 240;
   const size_t n_latency = FastMode() ? 48 : 160;
   // Overload rate: far beyond any plausible capacity, so phase 1
-  // measures the service, not the generator.
+  // measures the configs, not the generator.
   const double overload_rps = 50000.0;
+  const size_t n_configs = std::size(kConfigs);
+
+  // Untimed warm-up: one naive solve per query, so the first timed
+  // config does not pay the cold start.
+  RunOpenLoop(&registry, kConfigs[0], sessions, overload_rps,
+              artifacts->num_queries(), artifacts->num_queries(),
+              /*seed=*/7);
 
   std::printf("==== model=%s: capacity under overload ====\n", model);
-  auto naive = RunOpenLoop(&registry, /*batched_shared=*/false, sessions,
-                           overload_rps, n_capacity,
-                           /*queue_capacity=*/n_capacity, /*seed=*/101);
-  auto full = RunOpenLoop(&registry, /*batched_shared=*/true, sessions,
-                          overload_rps, n_capacity,
-                          /*queue_capacity=*/n_capacity, /*seed=*/101);
+  std::vector<RunStats> cap_runs, lat_runs;
+  for (const Config& c : kConfigs) {
+    cap_runs.push_back(RunOpenLoop(&registry, c, sessions, overload_rps,
+                                   n_capacity, /*queue_capacity=*/n_capacity,
+                                   /*seed=*/101));
+  }
+  const RunStats& naive = cap_runs[0];
+  const RunStats& full = cap_runs[1];
 
-  Table cap({"config", "sustained rps", "completed", "p99 solve (ms)"});
-  cap.AddRow({"naive", Fmt("%.1f", naive.sustained_rps),
-              Fmt("%.0f", static_cast<double>(naive.completed)),
-              Fmt("%.2f", naive.p99_solve_ms)});
-  cap.AddRow({"batched+shared", Fmt("%.1f", full.sustained_rps),
-              Fmt("%.0f", static_cast<double>(full.completed)),
-              Fmt("%.2f", full.p99_solve_ms)});
+  Table cap({"config", "sustained rps", "completed", "memo hits",
+             "p99 solve (ms)"});
+  for (size_t i = 0; i < n_configs; ++i) {
+    const RunStats& r = cap_runs[i];
+    cap.AddRow({kConfigs[i].name, Fmt("%.1f", r.sustained_rps),
+                Fmt("%.0f", static_cast<double>(r.completed)),
+                Fmt("%.0f", static_cast<double>(r.memo_hits)),
+                Fmt("%.2f", r.p99_solve_ms)});
+  }
   cap.Print();
 
-  // Quality proof: both configs must produce identical fronts; compute
+  // Quality proof: every config must produce identical fronts; compute
   // HV against shared bounds anyway so the record carries the numbers.
   std::map<std::string, ObjectiveVector> lo, hi;
-  for (const auto& stats : {&naive, &full}) {
-    for (const auto& [name, front] : stats->fronts) {
+  for (const RunStats& stats : cap_runs) {
+    for (const auto& [name, front] : stats.fronts) {
       if (front.empty()) continue;
       if (lo.find(name) == lo.end()) {
         lo[name] = front[0];
@@ -204,7 +295,10 @@ void RunAxis(const char* model, bool learned) {
       ExtendBounds(front, &lo[name], &hi[name]);
     }
   }
-  const bool identical = FrontsIdentical(naive, full);
+  bool identical = true;
+  for (const RunStats& stats : cap_runs) {
+    identical = identical && FrontsIdentical(naive, stats);
+  }
   const double hv_naive = AvgHypervolume(naive, lo, hi);
   const double hv_full = AvgHypervolume(full, lo, hi);
   const double speedup = naive.sustained_rps > 0
@@ -217,50 +311,45 @@ void RunAxis(const char* model, bool learned) {
   const double common_rps = 0.5 * naive.sustained_rps;
   std::printf("==== model=%s: latency at common offered load (%.1f rps) "
               "====\n", model, common_rps);
-  auto naive_lat = RunOpenLoop(&registry, /*batched_shared=*/false, sessions,
-                               common_rps, n_latency,
-                               /*queue_capacity=*/256, /*seed=*/202);
-  auto full_lat = RunOpenLoop(&registry, /*batched_shared=*/true, sessions,
-                              common_rps, n_latency,
-                              /*queue_capacity=*/256, /*seed=*/202);
-  struct Row {
-    const char* config;
-    const RunStats* cap;
-    const RunStats* lat;
-  };
-  const std::vector<Row> rows = {{"naive", &naive, &naive_lat},
-                                 {"batched+shared", &full, &full_lat}};
+  for (const Config& c : kConfigs) {
+    lat_runs.push_back(RunOpenLoop(&registry, c, sessions, common_rps,
+                                   n_latency, /*queue_capacity=*/256,
+                                   /*seed=*/202));
+  }
 
   Table lat({"config", "p50 solve (ms)", "p99 solve (ms)",
              "p50 sojourn (ms)", "p99 sojourn (ms)"});
-  for (const Row& r : rows) {
-    lat.AddRow({r.config, Fmt("%.2f", r.lat->p50_solve_ms),
-                Fmt("%.2f", r.lat->p99_solve_ms),
-                Fmt("%.2f", r.lat->p50_sojourn_ms),
-                Fmt("%.2f", r.lat->p99_sojourn_ms)});
+  for (size_t i = 0; i < n_configs; ++i) {
+    const RunStats& r = lat_runs[i];
+    lat.AddRow({kConfigs[i].name, Fmt("%.2f", r.p50_solve_ms),
+                Fmt("%.2f", r.p99_solve_ms), Fmt("%.2f", r.p50_sojourn_ms),
+                Fmt("%.2f", r.p99_sojourn_ms)});
   }
   lat.Print();
   std::printf("\n");
 
-  for (const Row& r : rows) {
+  for (size_t i = 0; i < n_configs; ++i) {
+    const RunStats& c = cap_runs[i];
+    const RunStats& l = lat_runs[i];
     obs::Json tp{obs::JsonObject{}};
-    tp.Set("config", r.config);
+    tp.Set("config", kConfigs[i].name);
     tp.Set("model", model);
-    tp.Set("sustained_rps", r.cap->sustained_rps);
-    tp.Set("completed", static_cast<uint64_t>(r.cap->completed));
+    tp.Set("sustained_rps", c.sustained_rps);
+    tp.Set("completed", static_cast<uint64_t>(c.completed));
+    tp.Set("memo_hits", static_cast<uint64_t>(c.memo_hits));
     tp.Set("sessions", static_cast<uint64_t>(sessions));
-    tp.Set("queries", static_cast<uint64_t>(r.cap->fronts.size()));
+    tp.Set("queries", static_cast<uint64_t>(c.fronts.size()));
     EmitJson("tuning_service_throughput", tp);
 
     obs::Json lt{obs::JsonObject{}};
-    lt.Set("config", r.config);
+    lt.Set("config", kConfigs[i].name);
     lt.Set("model", model);
-    lt.Set("p50_solve_ms", r.lat->p50_solve_ms);
-    lt.Set("p99_solve_ms", r.lat->p99_solve_ms);
-    lt.Set("p50_sojourn_ms", r.lat->p50_sojourn_ms);
-    lt.Set("p99_sojourn_ms", r.lat->p99_sojourn_ms);
+    lt.Set("p50_solve_ms", l.p50_solve_ms);
+    lt.Set("p99_solve_ms", l.p99_solve_ms);
+    lt.Set("p50_sojourn_ms", l.p50_sojourn_ms);
+    lt.Set("p99_sojourn_ms", l.p99_sojourn_ms);
     lt.Set("offered_rps", common_rps);
-    lt.Set("achieved_rps", r.lat->achieved_rps);
+    lt.Set("achieved_rps", l.achieved_rps);
     EmitJson("tuning_service_latency", lt);
   }
 

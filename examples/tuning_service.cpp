@@ -7,9 +7,9 @@
 ///   ./tuning_service [requests_per_query]
 ///
 /// Shows the full request path from DESIGN.md section 15: per-tenant
-/// admission quotas, the bounded queue, the shared cross-query eval
-/// cache warming up across requests, and version routing during a
-/// hot-swap.
+/// admission quotas, the bounded queue, the front memo serving repeats
+/// of a query (under any preference) without solving again, and version
+/// routing during a hot-swap.
 
 #include <cstdio>
 #include <cstdlib>
@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
                                      /*burst=*/static_cast<double>(reps)};
   TuningService service(&registry, opts);
 
-  // 3. Concurrent requests from two tenants over the query mix. Repeats
-  // of a (query, version) pair hit the shared eval cache.
+  // 3. Concurrent requests from two tenants over the query mix. The
+  // first request per (version, query) solves; repeats, and requests
+  // that arrive while that solve runs, are served from the front memo.
   const std::vector<std::string> mix = {"TPCH-Q3", "TPCH-Q5", "TPCH-Q9"};
   std::vector<std::future<Result<TuningServiceResult>>> futures;
   for (int r = 0; r < reps; ++r) {
@@ -71,13 +72,11 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "v%llu %-8s: front %2zu, chose latency %7.2fs cost $%.4f  "
-        "(solve %5.1f ms, cache %llu hit / %llu miss)\n",
+        "(solve %7.3f ms, %s)\n",
         static_cast<unsigned long long>(res->artifact_version),
         res->query_name.c_str(), res->moo.pareto.size(),
         res->chosen.objectives[0], res->chosen.objectives[1],
-        res->solve_seconds * 1e3,
-        static_cast<unsigned long long>(res->shared_cache_hits),
-        static_cast<unsigned long long>(res->shared_cache_misses));
+        res->solve_seconds * 1e3, res->memo_hit ? "memo hit" : "solved");
   }
 
   // 4. Hot-swap: assemble version 2 with the same workload plus a subQ
@@ -123,10 +122,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.submitted),
       static_cast<unsigned long long>(stats.rejected_queue_full),
       static_cast<unsigned long long>(stats.rejected_quota));
-  if (service.shared_cache() != nullptr) {
-    std::printf("shared cache: %.1f%% hit rate, %zu entries\n",
-                100.0 * service.shared_cache()->hit_rate(),
-                service.shared_cache()->occupancy());
-  }
+  std::printf("front memo: %llu hits, %llu misses, %llu waits, %zu entries\n",
+              static_cast<unsigned long long>(stats.memo_hits),
+              static_cast<unsigned long long>(stats.memo_misses),
+              static_cast<unsigned long long>(stats.memo_waits),
+              service.memo().size());
   return 0;
 }

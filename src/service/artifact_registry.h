@@ -27,8 +27,8 @@
 /// whole solve — an in-flight request never observes a mix of old and new
 /// artifacts, and old versions stay alive (shared_ptr refcount) until the
 /// last session using them completes. The version number is part of every
-/// shared-eval-cache key salt, so cached evaluations can never leak
-/// across model/workload versions.
+/// front-memo key, so memoized fronts can never leak across
+/// model/workload versions.
 
 namespace sparkopt {
 
@@ -51,8 +51,7 @@ struct ServiceArtifacts {
   /// Trained subQ regressor; when untrained the analytic compile-time
   /// model is used instead (mirrors TunerOptions::learned_subq_model).
   Regressor subq_model;
-  /// Per-session eval-cache slots (the private memo inside each solve;
-  /// the shared cross-query cache is sized separately by the service).
+  /// Per-solve eval-cache slots (the private memo inside each solve).
   size_t eval_cache_capacity = EvalCache::kDefaultCapacity;
 
   /// Stores `catalog` in the bundle and returns a pointer that stays

@@ -120,6 +120,12 @@ void InferenceBatcher::Predict(const Regressor& reg, const double* x,
         }
         cv_.WaitFor(mu_, deadline - now);
       }
+      // Covered by another thread's flush, a leader hands on: followers
+      // wait untimed behind it.
+      if (leader_ == &req) {
+        leader_ = nullptr;
+        cv_.NotifyAll();
+      }
     }
   }
   if (!batch.empty()) {

@@ -1,7 +1,5 @@
 #include "service/shared_eval_cache.h"
 
-#include "obs/trace.h"
-
 namespace sparkopt {
 
 SharedEvalCache::SharedEvalCache(SharedEvalCacheOptions opts) {
@@ -48,28 +46,10 @@ uint64_t SharedEvalCache::evictions() const {
   return total;
 }
 
-uint64_t SharedEvalCache::drops() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) total += s->drops();
-  return total;
-}
-
 double SharedEvalCache::hit_rate() const {
   const double h = static_cast<double>(hits());
   const double m = static_cast<double>(misses());
   return h + m > 0.0 ? h / (h + m) : 0.0;
-}
-
-void SharedEvalCache::PublishGauges() const {
-  obs::GaugeSet("service.eval_cache_occupancy_frac",
-                static_cast<double>(occupancy()) /
-                    static_cast<double>(capacity()));
-  obs::GaugeSet("service.eval_cache_hit_rate", hit_rate());
-  const double m = static_cast<double>(misses());
-  obs::GaugeSet("service.eval_cache_drop_rate",
-                m > 0.0 ? static_cast<double>(drops()) / m : 0.0);
-  obs::GaugeSet("service.eval_cache_evictions",
-                static_cast<double>(evictions()));
 }
 
 }  // namespace sparkopt

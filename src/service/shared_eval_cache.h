@@ -19,8 +19,14 @@
 /// replacement rather than drop-on-full.
 ///
 /// Keys must be salted per (artifact version, query identity) by the
-/// caller (see CachedSubQModel) — raw evaluation keys would collide
-/// across queries that share subQ ids.
+/// caller — raw evaluation keys would collide across queries that share
+/// subQ ids.
+///
+/// The tuning service no longer uses this class: its request-level
+/// FrontMemo (front_memo.h) replaced the eval-level cache. The class and
+/// its unit test stay because the repository benchmark
+/// (perfbench/service.cc) names it through TuningService::shared_cache(),
+/// which now returns nullptr.
 
 namespace sparkopt {
 
@@ -48,12 +54,7 @@ class SharedEvalCache {
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   uint64_t evictions() const;
-  uint64_t drops() const;
   double hit_rate() const;
-
-  /// Publishes "service.eval_cache_{occupancy_frac,hit_rate,drop_rate,
-  /// evictions}" obs gauges (no-op without an installed session).
-  void PublishGauges() const;
 
  private:
   size_t ShardOf(uint64_t key) const {

@@ -1,13 +1,13 @@
 #include "service/tuning_service.h"
 
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/rng.h"
 #include "moo/hmooc.h"
 #include "moo/objective_models.h"
 #include "obs/trace.h"
-#include "service/cached_model.h"
 
 namespace sparkopt {
 
@@ -18,7 +18,72 @@ double MicrosBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
+std::future<Result<TuningServiceResult>> Resolved(Status status) {
+  std::promise<Result<TuningServiceResult>> p;
+  p.set_value(std::move(status));
+  return p.get_future();
+}
+
+Status ValidatePreference(const std::vector<double>& pref) {
+  bool any_positive = false;
+  for (const double w : pref) {
+    if (!std::isfinite(w) || w < 0.0) {
+      return Status::InvalidArgument(
+          "preference weights must be finite and non-negative");
+    }
+    any_positive = any_positive || w > 0.0;
+  }
+  if (!any_positive) {
+    return Status::InvalidArgument("preference weights are all zero");
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+Result<FrontMemo::Front> SolveCompileTimeFront(
+    const ServiceArtifacts& artifacts, const Query& query,
+    uint64_t service_seed, InferenceSink* sink) {
+  // Objective-model stack, mirroring Tuner::Run: analytic by default,
+  // learned when the bundle ships a trained regressor.
+  AnalyticSubQModel analytic(&query, artifacts.cluster, artifacts.cost_params,
+                             artifacts.prices, artifacts.eval_cache_capacity);
+  std::unique_ptr<LearnedSubQModel> learned;
+  const SubQObjectiveModel* model = &analytic;
+  if (artifacts.subq_model.trained()) {
+    learned = std::make_unique<LearnedSubQModel>(
+        &query, artifacts.cluster, artifacts.cost_params,
+        &artifacts.subq_model, artifacts.prices,
+        artifacts.eval_cache_capacity);
+    // A bitwise-transparent sink; see model/inference_sink.h.
+    learned->set_inference_sink(sink);
+    model = learned.get();
+  }
+
+  // Seed derivation identical to Tuner::Run — the bitwise-equivalence
+  // contract depends on it.
+  HmoocOptions ho = artifacts.hmooc;
+  ho.seed = HashCombine(service_seed, query.seed);
+  std::vector<Regressor> screens;
+  if (ho.fidelity.mode == FidelityMode::kDistilled &&
+      ho.fidelity.distilled == nullptr) {
+    auto trained =
+        TrainDistilledScreens(*model, ho.fidelity.distill_samples, ho.seed);
+    if (trained.ok()) {
+      screens = std::move(*trained);
+      ho.fidelity.distilled = &screens;
+    } else {
+      ho.fidelity.mode = FidelityMode::kOff;
+    }
+  }
+
+  HmoocSolver solver(model, ho);
+  auto moo = std::make_shared<const MooRunResult>(solver.Solve());
+  if (moo->pareto.empty()) {
+    return Status::Internal("solver returned an empty Pareto set");
+  }
+  return FrontMemo::Front(std::move(moo));
+}
 
 struct TuningService::PendingState {
   PendingState(TuningService* s, TuningRequest r)
@@ -62,9 +127,6 @@ TuningService::TuningService(ArtifactRegistry* registry,
     : registry_(registry),
       opts_(std::move(opts)),
       start_(std::chrono::steady_clock::now()) {
-  if (opts_.shared_cache_enabled) {
-    shared_cache_ = std::make_unique<SharedEvalCache>(opts_.shared_cache);
-  }
   batcher_ = std::make_unique<InferenceBatcher>(opts_.batcher);
   for (const auto& [tenant, q] : opts_.quotas) {
     quotas_.emplace(std::piecewise_construct,
@@ -93,16 +155,22 @@ std::future<Result<TuningServiceResult>> TuningService::Submit(
     TuningRequest req) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
 
+  // Malformed preferences fail before they cost a quota token or a solve.
+  Status valid = ValidatePreference(
+      req.preference.empty() ? opts_.default_preference : req.preference);
+  if (!valid.ok()) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    return Resolved(std::move(valid));
+  }
+
   // Tenant quota (token bucket; tenants without an entry are free).
   {
     MutexLock lock(quota_mu_);
     auto it = quotas_.find(req.tenant);
     if (it != quotas_.end() && !it->second.TryAcquire(NowSeconds())) {
       rejected_quota_.fetch_add(1, std::memory_order_relaxed);
-      std::promise<Result<TuningServiceResult>> p;
-      p.set_value(Status::ResourceExhausted("tenant '" + req.tenant +
-                                            "' over quota"));
-      return p.get_future();
+      return Resolved(Status::ResourceExhausted("tenant '" + req.tenant +
+                                                "' over quota"));
     }
   }
 
@@ -111,9 +179,7 @@ std::future<Result<TuningServiceResult>> TuningService::Submit(
   if (backlog >= opts_.queue_capacity) {
     queued_.fetch_sub(1, std::memory_order_relaxed);
     rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
-    std::promise<Result<TuningServiceResult>> p;
-    p.set_value(Status::ResourceExhausted("admission queue full"));
-    return p.get_future();
+    return Resolved(Status::ResourceExhausted("admission queue full"));
   }
 
   // The state now owns the reserved queue slot (released by RunOne or
@@ -138,11 +204,13 @@ void TuningService::RunOne(const std::shared_ptr<PendingState>& state) {
   Result<TuningServiceResult> result = Solve(state->req);
   const auto end = std::chrono::steady_clock::now();
 
+  const double solve_us = MicrosBetween(start, end);
   queue_wait_us_.Observe(wait_us);
-  solve_us_.Observe(MicrosBetween(start, end));
+  solve_us_.Observe(solve_us);
   sojourn_us_.Observe(MicrosBetween(state->enqueue_time, end));
   if (result.ok()) {
     result->queue_wait_seconds = wait_us * 1e-6;
+    result->solve_seconds = solve_us * 1e-6;
     completed_.fetch_add(1, std::memory_order_relaxed);
   } else {
     failed_.fetch_add(1, std::memory_order_relaxed);
@@ -164,73 +232,27 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
   const std::vector<double>& pref =
       req.preference.empty() ? opts_.default_preference : req.preference;
 
-  // Objective-model stack, mirroring Tuner::Run: analytic by default,
-  // learned when the bundle ships a trained regressor...
-  AnalyticSubQModel analytic(query, snap->cluster, snap->cost_params,
-                             snap->prices, snap->eval_cache_capacity);
-  std::unique_ptr<LearnedSubQModel> learned;
-  const SubQObjectiveModel* model = &analytic;
-  if (snap->subq_model.trained()) {
-    learned = std::make_unique<LearnedSubQModel>(
-        query, snap->cluster, snap->cost_params, &snap->subq_model,
-        snap->prices, snap->eval_cache_capacity);
-    // ...with inference routed through the cross-session batcher (a
-    // bitwise-transparent sink; see model/inference_sink.h)...
-    learned->set_inference_sink(batcher_.get());
-    model = learned.get();
-  }
-  // ...topped by the shared cross-query cache, salted so identical
-  // (subq, conf) keys can never collide across queries or versions.
-  std::unique_ptr<CachedSubQModel> cached;
-  uint64_t hits_before = 0, misses_before = 0;
-  if (shared_cache_ != nullptr) {
-    const uint64_t salt = HashCombine(
-        snap->version,
-        HashCombine(Fnv1a(query->name.data(), query->name.size()),
-                    query->seed));
-    cached = std::make_unique<CachedSubQModel>(model, shared_cache_.get(),
-                                               salt);
-    hits_before = cached->shared_hits();
-    misses_before = cached->shared_misses();
-    model = cached.get();
-  }
-
-  // Seed derivation identical to Tuner::Run — the bitwise-equivalence
-  // contract depends on it.
-  HmoocOptions ho = snap->hmooc;
-  ho.seed = HashCombine(opts_.seed, query->seed);
-  std::vector<Regressor> screens;
-  if (ho.fidelity.mode == FidelityMode::kDistilled &&
-      ho.fidelity.distilled == nullptr) {
-    auto trained =
-        TrainDistilledScreens(*model, ho.fidelity.distill_samples, ho.seed);
-    if (trained.ok()) {
-      screens = std::move(*trained);
-      ho.fidelity.distilled = &screens;
-    } else {
-      ho.fidelity.mode = FidelityMode::kOff;
-    }
+  FrontMemo::Source source = FrontMemo::Source::kSolved;
+  auto front = memo_.GetOrSolve(
+      snap->version, query->name,
+      [&] {
+        return SolveCompileTimeFront(*snap, *query, opts_.seed,
+                                     batcher_.get());
+      },
+      &source);
+  if (!front.ok()) return front.status();
+  if (pref.size() != (*front)->pareto[0].objectives.size()) {
+    return Status::InvalidArgument("preference dimensionality mismatch");
   }
 
   TuningServiceResult res;
   res.artifact_version = snap->version;
   res.query_name = query->name;
-  res.used_learned_model = learned != nullptr;
-
-  HmoocSolver solver(model, ho);
-  res.moo = solver.Solve();
-  if (res.moo.pareto.empty()) {
-    return Status::Internal("solver returned an empty Pareto set");
-  }
-  if (pref.size() != res.moo.pareto[0].objectives.size()) {
-    return Status::InvalidArgument("preference dimensionality mismatch");
-  }
+  res.used_learned_model = snap->subq_model.trained();
+  res.memo_hit = source == FrontMemo::Source::kHit ||
+                 source == FrontMemo::Source::kJoined;
+  res.moo = **front;
   res.chosen = res.moo.pareto[res.moo.Recommend(pref)];
-  res.solve_seconds = res.moo.solve_seconds;
-  if (cached != nullptr) {
-    res.shared_cache_hits = cached->shared_hits() - hits_before;
-    res.shared_cache_misses = cached->shared_misses() - misses_before;
-  }
   return res;
 }
 
@@ -247,6 +269,9 @@ TuningService::Stats TuningService::stats() const {
       rejected_queue_full_.load(std::memory_order_relaxed);
   s.rejected_quota = rejected_quota_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
+  s.memo_hits = memo_.hits();
+  s.memo_misses = memo_.misses();
+  s.memo_waits = memo_.waits();
   return s;
 }
 
@@ -262,7 +287,10 @@ void TuningService::PublishGauges() const {
   obs::GaugeSet("service.shed", static_cast<double>(s.shed));
   obs::GaugeSet("service.queued",
                 static_cast<double>(queued_.load(std::memory_order_relaxed)));
-  if (shared_cache_ != nullptr) shared_cache_->PublishGauges();
+  obs::GaugeSet("service.memo_hits", static_cast<double>(s.memo_hits));
+  obs::GaugeSet("service.memo_misses", static_cast<double>(s.memo_misses));
+  obs::GaugeSet("service.memo_waits", static_cast<double>(s.memo_waits));
+  obs::GaugeSet("service.memo_entries", static_cast<double>(memo_.size()));
   batcher_->PublishGauges();
 }
 

@@ -13,6 +13,7 @@
 #include "moo/problem.h"
 #include "obs/metrics.h"
 #include "service/artifact_registry.h"
+#include "service/front_memo.h"
 #include "service/inference_batcher.h"
 #include "service/quota.h"
 #include "service/shared_eval_cache.h"
@@ -22,24 +23,27 @@
 /// concurrent tuning requests from multiple tenants over one shared
 /// model/workload artifact bundle.
 ///
-/// Request path (DESIGN.md section 15): Submit() checks the tenant's
-/// token-bucket quota, reserves a slot in the bounded admission queue
-/// (ResourceExhausted on either limit), and posts the request to a pool
-/// of N session workers. Each session snapshots the registry's current
-/// artifact version once, builds the same objective-model stack a
-/// standalone Tuner::Run would (analytic, or learned when the bundle's
-/// regressor is trained), layers the cross-query SharedEvalCache and
-/// cross-session InferenceBatcher on top, solves with HMOOC, and
-/// resolves the request's future with the Pareto front plus the
-/// WUN-chosen configuration.
+/// Request path (DESIGN.md section 15): Submit() rejects a malformed
+/// preference (InvalidArgument), checks the tenant's token-bucket quota,
+/// reserves a slot in the bounded admission queue (ResourceExhausted on
+/// either limit), and posts the request to a pool of N session workers.
+/// Each session snapshots the registry's current artifact version once
+/// and asks the FrontMemo for the compile-time Pareto front of
+/// (version, query name). On a miss it solves the front with the model
+/// stack a standalone Tuner::Run builds (analytic, or learned when the
+/// bundle's regressor is trained, its inference routed through the
+/// cross-session InferenceBatcher). Hit or miss, the request's own
+/// preference then picks the WUN configuration from a copy of the front.
 ///
-/// Determinism: the solver seed is HashCombine(service seed, query seed)
-/// — exactly Tuner::Run's derivation — and both service layers are
-/// transparent (the cache memoizes a pure function; the batcher
-/// coalesces a bitwise-batch-invariant kernel). A service solve is
-/// therefore bitwise identical to a direct Tuner solve of the same
-/// (query, preference, artifact version) at any session concurrency,
-/// which tests/service/tuning_service_test.cc asserts.
+/// Determinism: the version fixes the plans, the model, the cost/price
+/// book, the HmoocOptions and the eval-cache capacity, and the solver
+/// seed is HashCombine(service seed, query seed) — exactly Tuner::Run's
+/// derivation — so (version, query name) determines the front bit for
+/// bit, and the batcher coalesces a bitwise-batch-invariant kernel. A
+/// served front is therefore bitwise identical to a direct Tuner solve of
+/// the same (query, preference, artifact version) at any concurrency and
+/// hit pattern (tests/service/tuning_service_test.cc asserts it). The
+/// memo's single-flight, invalidation and memory bound: front_memo.h.
 ///
 /// Shutdown: kDrain completes everything admitted; kAbort discards the
 /// backlog, failing each shed request's future with Unavailable (the
@@ -60,12 +64,9 @@ struct TuningServiceOptions {
   /// Admitted-but-unstarted request bound; Submit fails with
   /// ResourceExhausted beyond it (open-loop load shedding).
   size_t queue_capacity = 256;
-  /// Cross-session inference coalescing (enabled=false reproduces the
-  /// naive per-session dispatch the benchmark compares against).
+  /// Cross-session inference coalescing on memo misses (enabled=false
+  /// dispatches each session's inference directly).
   InferenceBatcherOptions batcher;
-  /// Cross-query shared evaluation cache (false = per-solve memo only).
-  bool shared_cache_enabled = true;
-  SharedEvalCacheOptions shared_cache;
   /// Preference weights used when a request leaves its own empty.
   std::vector<double> default_preference = {0.9, 0.1};
   /// Tenant id -> quota. Tenants absent from the map are unthrottled.
@@ -96,13 +97,25 @@ struct TuningServiceResult {
   MooRunResult moo;
   /// WUN pick under the request's preference.
   MooSolution chosen;
+  /// Time this request spent in its session worker. A memo hit reads
+  /// microseconds; the memoized solve's own time stays in
+  /// moo.solve_seconds.
   double solve_seconds = 0.0;
   double queue_wait_seconds = 0.0;
   bool used_learned_model = false;
-  /// This request's shared-cache traffic (0/0 when the cache is off).
-  uint64_t shared_cache_hits = 0;
-  uint64_t shared_cache_misses = 0;
+  /// The front came from the memo (a finished entry or another request's
+  /// in-flight solve) rather than from a solve this request ran.
+  bool memo_hit = false;
 };
+
+/// Solves the compile-time Pareto front of `query` under `artifacts` with
+/// the model stack and seed Tuner::Run uses (seed HashCombine(
+/// `service_seed`, query.seed)). Learned-model inference goes through
+/// `sink` when non-null. Fails Internal on an empty front. This is the
+/// service's memo-miss path; benchmarks call it for unserved solves.
+Result<FrontMemo::Front> SolveCompileTimeFront(
+    const ServiceArtifacts& artifacts, const Query& query,
+    uint64_t service_seed, InferenceSink* sink);
 
 class TuningService {
  public:
@@ -117,9 +130,10 @@ class TuningService {
   TuningService& operator=(const TuningService&) = delete;
 
   /// Admits one request. The returned future always resolves: with the
-  /// result, with an admission error (ResourceExhausted /
-  /// FailedPrecondition / NotFound), or with Unavailable when the
-  /// request is shed by Shutdown(kAbort).
+  /// result, with an error (InvalidArgument for a non-finite, negative or
+  /// all-zero preference or one whose dimension differs from the front's;
+  /// ResourceExhausted / FailedPrecondition / NotFound), or with
+  /// Unavailable when the request is shed by Shutdown(kAbort).
   std::future<Result<TuningServiceResult>> Submit(TuningRequest req);
 
   /// Idempotent. kDrain finishes the backlog; kAbort sheds it (each
@@ -129,10 +143,13 @@ class TuningService {
   struct Stats {
     uint64_t submitted = 0;
     uint64_t completed = 0;  ///< futures resolved with a result
-    uint64_t failed = 0;     ///< solve-path errors (NotFound etc.)
+    uint64_t failed = 0;     ///< InvalidArgument, NotFound, solve errors
     uint64_t rejected_queue_full = 0;
     uint64_t rejected_quota = 0;
     uint64_t shed = 0;       ///< aborted during shutdown
+    uint64_t memo_hits = 0;    ///< fronts read from a finished memo entry
+    uint64_t memo_misses = 0;  ///< requests that ran their own solve
+    uint64_t memo_waits = 0;   ///< requests that joined an in-flight solve
   };
   Stats stats() const;
 
@@ -144,13 +161,17 @@ class TuningService {
   /// queue wait + solve, the client-observed latency.
   const obs::Histogram& sojourn_us() const { return sojourn_us_; }
 
-  /// nullptr when the respective layer is disabled.
-  const SharedEvalCache* shared_cache() const { return shared_cache_.get(); }
+  /// Always nullptr: the front memo replaced the eval-level shared
+  /// cache. The accessor and the SharedEvalCache class stay because the
+  /// repository benchmark (perfbench/service.cc) names both; its
+  /// shared-cache counters read 0.
+  const SharedEvalCache* shared_cache() const { return nullptr; }
   const InferenceBatcher& batcher() const { return *batcher_; }
+  const FrontMemo& memo() const { return memo_; }
 
   const TuningServiceOptions& options() const { return opts_; }
 
-  /// Publishes "service.*" gauges into the installed obs session (cache,
+  /// Publishes "service.*" gauges into the installed obs session (memo,
   /// batcher, admission counters). No-op without a session.
   void PublishGauges() const;
 
@@ -167,7 +188,7 @@ class TuningService {
 
   ArtifactRegistry* const registry_;
   const TuningServiceOptions opts_;
-  std::unique_ptr<SharedEvalCache> shared_cache_;
+  FrontMemo memo_;
   std::unique_ptr<InferenceBatcher> batcher_;
   std::unique_ptr<ThreadPool> pool_;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -94,6 +96,48 @@ TEST(InferenceBatcherTest, CoalescedPredictionsAreBitwiseIdentical) {
   const auto stats = batcher.stats();
   EXPECT_EQ(stats.requests, inputs.size());
   EXPECT_EQ(stats.rows, inputs.size() * kRows);
+}
+
+TEST(InferenceBatcherTest, LeaderCoveredByAnotherFlushHandsOverLeadership) {
+  // Interleaving (sleeps order the threads; a slow batch holds the
+  // window open): L leads a window; X fills it, so X's full flush covers
+  // L and runs a slow batch; Y+Z fill and flush a second window, whose
+  // wake-up lets L re-elect itself; W arrives behind L. When X's batch
+  // completes L is done and leaves — W must not keep waiting on it.
+  const Regressor fast = TrainTinyRegressor(9);
+  const Regressor slow(kDim, kOut, {512, 512}, 9);  // only its cost matters
+  constexpr size_t kMaxRows = 4096;
+  InferenceBatcherOptions opts;
+  opts.max_rows = kMaxRows;
+  opts.max_wait_us = 400000;
+  InferenceBatcher batcher(opts);
+  const auto one = RandomRows(1, 1);
+  const auto fill = RandomRows(kMaxRows - 1, 2);
+  auto predict = [&](const Regressor& reg, const std::vector<double>& x) {
+    return std::async(std::launch::async, [&batcher, &reg, &x] {
+      std::vector<double> out(x.size() / kDim * kOut);
+      batcher.Predict(reg, x.data(), x.size() / kDim, out.data());
+    });
+  };
+  auto pause = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  auto l = predict(fast, one);
+  pause();
+  auto x = predict(slow, fill);
+  pause();
+  auto y = predict(fast, one);
+  pause();
+  auto z = predict(fast, fill);
+  pause();
+  auto w = predict(fast, one);
+
+  const bool w_done =
+      w.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  EXPECT_TRUE(w_done) << "follower stranded behind a departed leader";
+  if (!w_done) predict(fast, fill).get();  // full flush releases W
+  for (auto* f : {&l, &x, &y, &z, &w}) f->get();
+  EXPECT_EQ(batcher.stats().requests, 5u + (w_done ? 0u : 1u));
 }
 
 TEST(InferenceBatcherTest, SaturatingRequestsBypassTheCollector) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <future>
+#include <limits>
 #include <vector>
 
+#include "obs/openmetrics.h"
+#include "obs/trace.h"
 #include "service/model_bootstrap.h"
 #include "tuner/tuner.h"
 #include "workload/tpch.h"
@@ -43,8 +47,9 @@ std::shared_ptr<ServiceArtifacts> MakeArtifacts(bool learned) {
 }
 
 /// The standalone reference the service must reproduce bit for bit.
-MooRunResult DirectSolve(const ServiceArtifacts& a, const std::string& query,
-                         uint64_t service_seed) {
+TuningOutcome DirectRun(const ServiceArtifacts& a, const std::string& query,
+                        uint64_t service_seed,
+                        const std::vector<double>& pref = {0.9, 0.1}) {
   TunerOptions to;
   to.cluster = a.cluster;
   to.cost_params = a.cost_params;
@@ -52,11 +57,17 @@ MooRunResult DirectSolve(const ServiceArtifacts& a, const std::string& query,
   to.hmooc = a.hmooc;
   to.eval_cache_capacity = a.eval_cache_capacity;
   to.seed = service_seed;
+  to.preference = pref;
   if (a.subq_model.trained()) to.learned_subq_model = &a.subq_model;
   Tuner tuner(to);
   auto out = tuner.Run(*a.FindQuery(query), TuningMethod::kHmooc3);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
-  return out->moo;
+  return *out;
+}
+
+MooRunResult DirectSolve(const ServiceArtifacts& a, const std::string& query,
+                         uint64_t service_seed) {
+  return DirectRun(a, query, service_seed).moo;
 }
 
 void ExpectSameFront(const MooRunResult& got, const MooRunResult& want) {
@@ -106,54 +117,147 @@ TEST(TuningServiceTest, SolvesAreBitwiseIdenticalToDirectTuner) {
   }
 }
 
-TEST(TuningServiceTest, RepeatedQueriesHitTheSharedCache) {
+TEST(TuningServiceTest, RepeatedQueriesHitTheFrontMemo) {
+  auto artifacts = MakeArtifacts(/*learned=*/false);
   ArtifactRegistry registry;
-  registry.Publish(MakeArtifacts(/*learned=*/false));
+  registry.Publish(artifacts);
   TuningServiceOptions opts;
   opts.sessions = 1;
   TuningService service(&registry, opts);
 
-  // A cold solve misses on every distinct (conf, subq) it evaluates; the
-  // hits it does record come from intra-solve duplicates.
-  auto first = service.Submit({"TPCH-Q3"}).get();
+  auto first = service.Submit({"TPCH-Q3", "t", {0.9, 0.1}}).get();
   ASSERT_TRUE(first.ok());
-  EXPECT_GT(first->shared_cache_misses, 0u);
+  EXPECT_FALSE(first->memo_hit);
 
-  auto second = service.Submit({"TPCH-Q3"}).get();
+  // A different preference reuses the front: only the WUN pick differs.
+  const std::vector<double> pref = {0.2, 0.8};
+  auto second = service.Submit({"TPCH-Q3", "t", pref}).get();
   ASSERT_TRUE(second.ok());
-  // The solver's sampling is seeded per (service seed, query seed): the
-  // repeat draws the same candidates and hits on every evaluation.
-  EXPECT_EQ(second->shared_cache_misses, 0u);
-  EXPECT_EQ(second->shared_cache_hits,
-            first->shared_cache_hits + first->shared_cache_misses);
+  EXPECT_TRUE(second->memo_hit);
   ExpectSameFront(second->moo, first->moo);
+  EXPECT_EQ(second->moo.evaluations, first->moo.evaluations);
 
-  ASSERT_NE(service.shared_cache(), nullptr);
-  EXPECT_GT(service.shared_cache()->hit_rate(), 0.0);
+  const TuningOutcome direct = DirectRun(*artifacts, "TPCH-Q3", 17, pref);
+  ExpectSameFront(second->moo, direct.moo);
+  EXPECT_EQ(second->chosen.objectives, direct.chosen.objectives);
+  EXPECT_EQ(second->chosen.conf, direct.chosen.conf);
+  EXPECT_EQ(second->chosen.per_subq_conf, direct.chosen.per_subq_conf);
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.memo_misses, 1u);
+  EXPECT_EQ(stats.memo_hits, 1u);
+  EXPECT_EQ(stats.memo_waits, 0u);
+  EXPECT_EQ(service.memo().size(), 1u);
+  EXPECT_EQ(service.shared_cache(), nullptr);
 }
 
-TEST(TuningServiceTest, DistinctQueriesNeverShareCacheEntries) {
+TEST(TuningServiceTest, DistinctQueriesNeverShareAMemoEntry) {
+  auto artifacts = MakeArtifacts(/*learned=*/false);
   ArtifactRegistry registry;
-  registry.Publish(MakeArtifacts(/*learned=*/false));
+  registry.Publish(artifacts);
   TuningServiceOptions opts;
   opts.sessions = 1;
   TuningService service(&registry, opts);
   auto q3 = service.Submit({"TPCH-Q3"}).get();
   ASSERT_TRUE(q3.ok());
-  // Same service, different query: the per-query key salt means q3's
-  // entries contribute nothing, so q5 behaves exactly as it would have
-  // against an empty cache (its hits are only intra-solve duplicates).
-  auto warm_q5 = service.Submit({"TPCH-Q5"}).get();
-  ASSERT_TRUE(warm_q5.ok());
+  // Same service and version, different query: q5 solves its own front.
+  auto q5 = service.Submit({"TPCH-Q5"}).get();
+  ASSERT_TRUE(q5.ok());
+  EXPECT_FALSE(q3->memo_hit);
+  EXPECT_FALSE(q5->memo_hit);
+  ExpectSameFront(q3->moo, DirectSolve(*artifacts, "TPCH-Q3", 17));
+  ExpectSameFront(q5->moo, DirectSolve(*artifacts, "TPCH-Q5", 17));
+  EXPECT_EQ(service.stats().memo_misses, 2u);
+  EXPECT_EQ(service.stats().memo_hits, 0u);
+  EXPECT_EQ(service.memo().size(), 2u);
+}
 
-  ArtifactRegistry fresh_registry;
-  fresh_registry.Publish(MakeArtifacts(/*learned=*/false));
-  TuningService fresh(&fresh_registry, opts);
-  auto cold_q5 = fresh.Submit({"TPCH-Q5"}).get();
-  ASSERT_TRUE(cold_q5.ok());
-  EXPECT_EQ(warm_q5->shared_cache_hits, cold_q5->shared_cache_hits);
-  EXPECT_EQ(warm_q5->shared_cache_misses, cold_q5->shared_cache_misses);
-  EXPECT_GT(warm_q5->shared_cache_misses, 0u);
+TEST(TuningServiceTest, PublishInvalidatesTheFrontMemo) {
+  ArtifactRegistry registry;
+  const uint64_t v1 = registry.Publish(MakeArtifacts(/*learned=*/false));
+  TuningServiceOptions opts;
+  opts.sessions = 1;
+  TuningService service(&registry, opts);
+  ASSERT_TRUE(service.Submit({"TPCH-Q3"}).get().ok());
+  ASSERT_TRUE(service.Submit({"TPCH-Q5"}).get().ok());
+  EXPECT_EQ(service.memo().size(), 2u);
+
+  auto v2_artifacts = MakeArtifacts(/*learned=*/true);
+  const uint64_t v2 = registry.Publish(v2_artifacts);
+  ASSERT_NE(v1, v2);
+  auto after = service.Submit({"TPCH-Q3"}).get();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->artifact_version, v2);
+  EXPECT_FALSE(after->memo_hit);
+  ExpectSameFront(after->moo, DirectSolve(*v2_artifacts, "TPCH-Q3", 17));
+  // The first v2 request dropped every v1 entry.
+  EXPECT_EQ(service.memo().size(), 1u);
+
+  auto again = service.Submit({"TPCH-Q3"}).get();
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->memo_hit);
+  ExpectSameFront(again->moo, after->moo);
+  EXPECT_EQ(service.stats().memo_misses, 3u);
+  EXPECT_EQ(service.stats().memo_hits, 1u);
+}
+
+TEST(TuningServiceTest, InFlightOldVersionNeitherReadsNorFillsTheMemo) {
+  // Requests on both sides of a Publish, racing on four sessions: each
+  // result must be its own snapshot's front, whatever the interleaving.
+  auto a1 = MakeArtifacts(/*learned=*/false);
+  auto a2 = MakeArtifacts(/*learned=*/true);
+  ArtifactRegistry registry;
+  const uint64_t v1 = registry.Publish(a1);
+  const MooRunResult want_v1 = DirectSolve(*a1, "TPCH-Q3", 17);
+  const MooRunResult want_v2 = DirectSolve(*a2, "TPCH-Q3", 17);
+  TuningServiceOptions opts;
+  opts.sessions = 4;
+  TuningService service(&registry, opts);
+  std::vector<std::future<Result<TuningServiceResult>>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(service.Submit({"TPCH-Q3"}));
+  const uint64_t v2 = registry.Publish(a2);
+  for (int i = 0; i < 8; ++i) futures.push_back(service.Submit({"TPCH-Q3"}));
+  for (auto& f : futures) {
+    auto res = f.get();
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ASSERT_TRUE(res->artifact_version == v1 || res->artifact_version == v2);
+    ExpectSameFront(res->moo,
+                    res->artifact_version == v1 ? want_v1 : want_v2);
+  }
+  // After the drain only the v2 front remains, and a new request reads
+  // it rather than anything a late v1 solve could have left behind.
+  EXPECT_EQ(service.memo().size(), 1u);
+  auto late = service.Submit({"TPCH-Q3"}).get();
+  ASSERT_TRUE(late.ok());
+  EXPECT_TRUE(late->memo_hit);
+  EXPECT_EQ(late->artifact_version, v2);
+  ExpectSameFront(late->moo, want_v2);
+}
+
+TEST(TuningServiceTest, ConcurrentMissesOnOneKeyRunOneSolve) {
+  ArtifactRegistry registry;
+  registry.Publish(MakeArtifacts(/*learned=*/true));
+  TuningServiceOptions opts;
+  opts.sessions = 4;
+  TuningService service(&registry, opts);
+  constexpr int kRequests = 12;
+  std::vector<std::future<Result<TuningServiceResult>>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back(service.Submit({"TPCH-Q5"}));
+  }
+  std::vector<TuningServiceResult> results;
+  for (auto& f : futures) {
+    auto res = f.get();
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    results.push_back(std::move(*res));
+  }
+  for (const auto& r : results) ExpectSameFront(r.moo, results[0].moo);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.memo_misses, 1u);
+  EXPECT_EQ(stats.memo_hits + stats.memo_waits, kRequests - 1u);
+  int solved = 0;
+  for (const auto& r : results) solved += r.memo_hit ? 0 : 1;
+  EXPECT_EQ(solved, 1);
 }
 
 TEST(TuningServiceTest, ZeroCapacityQueueRejectsEverything) {
@@ -291,10 +395,9 @@ TEST(TuningServiceTest, HotSwapChangesVersionForNewRequestsOnly) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->artifact_version, v2);
   EXPECT_TRUE(after->used_learned_model);
-  // Version is part of the cache salt: the v2 solve shares no entries
-  // with v1 even for the identical query, so it recomputes (misses) on
-  // every distinct evaluation instead of reusing v1's.
-  EXPECT_GT(after->shared_cache_misses, 0u);
+  // The version is part of the memo key: v2 solves afresh instead of
+  // reading v1's front for the identical query.
+  EXPECT_FALSE(after->memo_hit);
 }
 
 TEST(TuningServiceTest, PreferenceSelectsFromTheSameFront) {
@@ -307,7 +410,7 @@ TEST(TuningServiceTest, PreferenceSelectsFromTheSameFront) {
   auto cost_first = service.Submit({"TPCH-Q3", "t", {0.01, 0.99}}).get();
   ASSERT_TRUE(latency_first.ok());
   ASSERT_TRUE(cost_first.ok());
-  // Same front (cache-hit repeat), different WUN pick.
+  // Same front (memo-hit repeat), different WUN pick.
   ExpectSameFront(cost_first->moo, latency_first->moo);
   if (latency_first->moo.pareto.size() > 1) {
     EXPECT_LE(latency_first->chosen.objectives[0],
@@ -324,6 +427,68 @@ TEST(TuningServiceTest, PreferenceDimensionMismatchIsRejected) {
   auto res = service.Submit({"TPCH-Q3", "t", {1.0, 2.0, 3.0}}).get();
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TuningServiceTest, DimensionMismatchOnAMemoHitSkipsTheSolve) {
+  ArtifactRegistry registry;
+  registry.Publish(MakeArtifacts(/*learned=*/false));
+  TuningService service(&registry, {});
+  ASSERT_TRUE(service.Submit({"TPCH-Q3"}).get().ok());
+  auto res = service.Submit({"TPCH-Q3", "t", {1.0, 2.0, 3.0}}).get();
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.stats().memo_misses, 1u);
+  EXPECT_EQ(service.stats().memo_hits, 1u);
+}
+
+/// Submits one request with `pref` and expects InvalidArgument before
+/// any memo lookup or solve.
+void ExpectPreferenceRejected(const std::vector<double>& pref) {
+  ArtifactRegistry registry;
+  registry.Publish(MakeArtifacts(/*learned=*/false));
+  TuningService service(&registry, {});
+  auto res = service.Submit({"TPCH-Q3", "t", pref}).get();
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.memo_hits + stats.memo_misses + stats.memo_waits, 0u);
+  EXPECT_EQ(service.memo().size(), 0u);
+}
+
+TEST(TuningServiceTest, NaNPreferenceIsRejected) {
+  ExpectPreferenceRejected({std::nan(""), 0.5});
+}
+
+TEST(TuningServiceTest, InfinitePreferenceIsRejected) {
+  ExpectPreferenceRejected({std::numeric_limits<double>::infinity(), 0.5});
+}
+
+TEST(TuningServiceTest, NegativePreferenceIsRejected) {
+  ExpectPreferenceRejected({1.5, -0.5});
+}
+
+TEST(TuningServiceTest, AllZeroPreferenceIsRejected) {
+  ExpectPreferenceRejected({0.0, 0.0});
+}
+
+TEST(TuningServiceTest, PublishGaugesExportsMemoCounters) {
+  obs::Session session;
+  ArtifactRegistry registry;
+  registry.Publish(MakeArtifacts(/*learned=*/false));
+  TuningServiceOptions opts;
+  opts.sessions = 1;
+  TuningService service(&registry, opts);
+  ASSERT_TRUE(service.Submit({"TPCH-Q3"}).get().ok());
+  ASSERT_TRUE(service.Submit({"TPCH-Q3"}).get().ok());
+  service.PublishGauges();
+  const std::string text = obs::ToOpenMetricsText(session.metrics());
+  EXPECT_NE(text.find("sparkopt_service_memo_hits 1\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("sparkopt_service_memo_misses 1\n"), std::string::npos);
+  EXPECT_NE(text.find("sparkopt_service_memo_waits 0\n"), std::string::npos);
+  EXPECT_NE(text.find("sparkopt_service_memo_entries 1\n"),
+            std::string::npos);
 }
 
 }  // namespace
