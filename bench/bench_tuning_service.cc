@@ -1,13 +1,12 @@
 /// \file bench_tuning_service.cc
 /// \brief Tuning-as-a-service throughput and tail latency (DESIGN.md
 /// section 15): a seeded Poisson open-loop load generator drives a
-/// recurring TPC-H/TPC-DS query mix through three configs on both the
+/// recurring TPC-H/TPC-DS query mix through two configs on both the
 /// analytic and the learned objective-model axis:
-///  - "naive": per-request solves with no service mechanism — the same
-///    model stack (SolveCompileTimeFront) on a pool of `sessions`
-///    threads, no front memo, no inference batcher;
-///  - "service": the shipped TuningService (front memo + batcher);
-///  - "service_nobatcher": the service with the batcher off.
+///  - "naive": per-request solves with no service mechanism — the
+///    service's memo-miss solve (SolveCompileTimeFront) on a pool of
+///    `sessions` threads, no front memo;
+///  - "service": the shipped TuningService (front memo).
 /// An untimed warm-up pass precedes the first timed config, so no config
 /// pays the process's cold start.
 ///
@@ -37,6 +36,7 @@
 #include "service/load_gen.h"
 #include "service/model_bootstrap.h"
 #include "service/tuning_service.h"
+#include "tuner/tuner.h"
 #include "workload/tpcds.h"
 #include "workload/tpch.h"
 
@@ -97,8 +97,8 @@ struct RunStats {
 };
 
 /// The "naive" config: every request solves its front from scratch on
-/// one of `sessions` pool threads, through the same model stack the
-/// service's memo-miss path uses, with no memo and no batcher.
+/// one of `sessions` pool threads, through the solve the service's
+/// memo-miss path runs, with no memo.
 class NaiveSolver {
  public:
   NaiveSolver(const ArtifactRegistry* registry, int sessions)
@@ -113,19 +113,20 @@ class NaiveSolver {
     pool_.Post([this, promise, req = std::move(req), enqueue] {
       obs::ScopedSpanSuppression suppress;  // spans are main-thread-only
       const auto start = std::chrono::steady_clock::now();
-      auto moo = SolveCompileTimeFront(*snap_, *snap_->FindQuery(req.query_name),
-                                       TuningServiceOptions().seed,
-                                       /*sink=*/nullptr);
+      MooRunResult moo = SolveCompileTimeFront(
+          *snap_->FindQuery(req.query_name),
+          snap_->DirectTunerOptions(TuningServiceOptions().seed));
       const auto end = std::chrono::steady_clock::now();
       solve_us_.Observe(Micros(start, end));
       sojourn_us_.Observe(Micros(enqueue, end));
-      if (!moo.ok()) {
-        promise->set_value(moo.status());
+      if (moo.pareto.empty()) {
+        promise->set_value(
+            Status::Internal("solver returned an empty Pareto set"));
         return;
       }
       TuningServiceResult r;
       r.query_name = req.query_name;
-      r.moo = **moo;
+      r.moo = std::move(moo);
       promise->set_value(std::move(r));
     });
     return future;
@@ -149,11 +150,8 @@ class NaiveSolver {
 struct Config {
   const char* name;
   bool service;
-  bool batcher;
 };
-constexpr Config kConfigs[] = {{"naive", false, false},
-                               {"service", true, true},
-                               {"service_nobatcher", true, false}};
+constexpr Config kConfigs[] = {{"naive", false}, {"service", true}};
 
 /// Submits `n` requests round-robin over the artifact's query mix at the
 /// pre-drawn Poisson arrival times, waits for every future, and reports
@@ -211,7 +209,6 @@ RunStats RunOpenLoop(ArtifactRegistry* registry, const Config& config,
   TuningServiceOptions opts;
   opts.sessions = sessions;
   opts.queue_capacity = queue_capacity;
-  opts.batcher.enabled = config.batcher;
   TuningService service(registry, opts);
   RunStats out = Drive(&service, *registry, offered_rps, n, seed);
   out.memo_hits = service.stats().memo_hits;
@@ -219,7 +216,7 @@ RunStats RunOpenLoop(ArtifactRegistry* registry, const Config& config,
 }
 
 /// Exact per-query front identity between two runs: the determinism
-/// contract says the memo and the batcher must not move a single bit.
+/// contract says the memo must not move a single bit.
 bool FrontsIdentical(const RunStats& a, const RunStats& b) {
   if (a.fronts.size() != b.fronts.size()) return false;
   for (const auto& [name, front] : a.fronts) {

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "model/features.h"
-#include "model/inference_sink.h"
 #include "model/mlp.h"
 #include "model/subq_evaluator.h"
 #include "moo/problem.h"
@@ -24,11 +23,11 @@ namespace sparkopt {
 /// \brief White-box compile-time phi: wraps SubQEvaluator.
 class AnalyticSubQModel : public SubQObjectiveModel {
  public:
+  /// The trailing size_t is ignored; perfbench/trace.cc still passes it.
   AnalyticSubQModel(const Query* query, const ClusterSpec& cluster,
                     const CostModelParams& cost,
-                    const PriceBook& prices = PriceBook(),
-                    size_t eval_cache_capacity = EvalCache::kDefaultCapacity)
-      : evaluator_(query, cluster, cost, prices, eval_cache_capacity) {}
+                    const PriceBook& prices = PriceBook(), size_t = 0)
+      : evaluator_(query, cluster, cost, prices) {}
 
   int num_subqs() const override { return evaluator_.num_subqs(); }
   int num_objectives() const override { return num_objectives_; }
@@ -64,11 +63,11 @@ class AnalyticSubQModel : public SubQObjectiveModel {
 /// and IO via the price book (the paper's cost objective construction).
 class LearnedSubQModel : public SubQObjectiveModel {
  public:
+  /// The trailing size_t is ignored; perfbench/trace.cc still passes it.
   LearnedSubQModel(const Query* query, const ClusterSpec& cluster,
                    const CostModelParams& cost, const Regressor* subq_model,
-                   const PriceBook& prices = PriceBook(),
-                   size_t eval_cache_capacity = EvalCache::kDefaultCapacity)
-      : evaluator_(query, cluster, cost, prices, eval_cache_capacity),
+                   const PriceBook& prices = PriceBook(), size_t = 0)
+      : evaluator_(query, cluster, cost, prices),
         model_(subq_model),
         prices_(prices) {}
 
@@ -100,20 +99,11 @@ class LearnedSubQModel : public SubQObjectiveModel {
 
   SubQEvaluator& evaluator() { return evaluator_; }
 
-  /// \brief Routes regressor inference through `sink` instead of calling
-  /// Regressor::PredictBatchInto directly (nullptr restores the direct
-  /// call). The sink contract (see model/inference_sink.h) guarantees
-  /// bitwise-identical predictions, so solver output is unchanged; the
-  /// tuning service uses this to coalesce rows across sessions.
-  void set_inference_sink(InferenceSink* sink) { sink_ = sink; }
-  InferenceSink* inference_sink() const { return sink_; }
-
  private:
   SubQEvaluator evaluator_;
   const Regressor* model_;
   PriceBook prices_;
   int num_objectives_ = 2;
-  InferenceSink* sink_ = nullptr;
   mutable std::atomic<size_t> evals_{0};
 };
 

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "analysis/logical_plan_verifier.h"
+
 namespace sparkopt {
 
 const std::vector<TableStats>* ServiceArtifacts::AddCatalog(
@@ -17,12 +19,38 @@ Status ServiceArtifacts::AddQuery(Query q) {
         "ServiceArtifacts::AddQuery: query name is the routing key and "
         "must be non-empty");
   }
+  // A plan that fails verification would reach undefined behaviour in
+  // the solver (an empty plan has no subQs to build a configuration from).
+  const std::vector<SubQuery> subqs = q.plan.DecomposeSubQueries();
+  analysis::VerifyInput in;
+  in.logical_plan = &q.plan;
+  in.catalog = q.catalog;
+  in.subqs = &subqs;
+  in.site = "ServiceArtifacts::AddQuery";
+  const analysis::VerifyReport report =
+      analysis::LogicalPlanVerifier().Verify(in);
+  if (!report.ok()) {
+    return Status::InvalidArgument("query '" + q.name +
+                                   "': " + report.ToStatus().message());
+  }
   const std::string name = q.name;
   if (!queries_.emplace(name, std::move(q)).second) {
     return Status::InvalidArgument(
         "ServiceArtifacts::AddQuery: duplicate query name '" + name + "'");
   }
   return Status::OK();
+}
+
+TunerOptions ServiceArtifacts::DirectTunerOptions(
+    uint64_t service_seed) const {
+  TunerOptions to;
+  to.cluster = cluster;
+  to.cost_params = cost_params;
+  to.prices = prices;
+  to.hmooc = hmooc;
+  to.seed = service_seed;
+  if (subq_model.trained()) to.learned_subq_model = &subq_model;
+  return to;
 }
 
 const Query* ServiceArtifacts::FindQuery(const std::string& name) const {

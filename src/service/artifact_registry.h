@@ -10,8 +10,8 @@
 #include "exec/cluster.h"
 #include "exec/cost_model.h"
 #include "model/mlp.h"
-#include "model/subq_evaluator.h"
 #include "moo/hmooc.h"
+#include "tuner/tuner.h"
 #include "workload/builder.h"
 
 /// \file artifact_registry.h
@@ -51,16 +51,23 @@ struct ServiceArtifacts {
   /// Trained subQ regressor; when untrained the analytic compile-time
   /// model is used instead (mirrors TunerOptions::learned_subq_model).
   Regressor subq_model;
-  /// Per-solve eval-cache slots (the private memo inside each solve).
-  size_t eval_cache_capacity = EvalCache::kDefaultCapacity;
+  /// Ignored; perfbench/service.cc still reads it.
+  size_t eval_cache_capacity = 0;
 
   /// Stores `catalog` in the bundle and returns a pointer that stays
   /// valid for the bundle's lifetime — pass it to MakeTpchQuery etc.
   const std::vector<TableStats>* AddCatalog(std::vector<TableStats> catalog);
 
-  /// Registers `q` under q.name. Fails on duplicate names or an empty
-  /// name (the request routing key).
+  /// Registers `q` under q.name. Fails InvalidArgument on duplicate
+  /// names, an empty name (the request routing key), or a plan that
+  /// analysis::LogicalPlanVerifier rejects (empty, cyclic, ...) together
+  /// with its subQ decomposition; the message carries the violation.
   Status AddQuery(Query q);
+
+  /// The options under which Tuner::Run solves exactly the fronts this
+  /// bundle serves, with solver seed `service_seed` (the preference stays
+  /// at its default: it enters only the WUN pick).
+  TunerOptions DirectTunerOptions(uint64_t service_seed) const;
 
   const Query* FindQuery(const std::string& name) const;
   size_t num_queries() const { return queries_.size(); }

@@ -4,10 +4,8 @@
 #include <cmath>
 #include <utility>
 
-#include "common/rng.h"
-#include "moo/hmooc.h"
-#include "moo/objective_models.h"
 #include "obs/trace.h"
+#include "tuner/tuner.h"
 
 namespace sparkopt {
 
@@ -40,50 +38,6 @@ Status ValidatePreference(const std::vector<double>& pref) {
 }
 
 }  // namespace
-
-Result<FrontMemo::Front> SolveCompileTimeFront(
-    const ServiceArtifacts& artifacts, const Query& query,
-    uint64_t service_seed, InferenceSink* sink) {
-  // Objective-model stack, mirroring Tuner::Run: analytic by default,
-  // learned when the bundle ships a trained regressor.
-  AnalyticSubQModel analytic(&query, artifacts.cluster, artifacts.cost_params,
-                             artifacts.prices, artifacts.eval_cache_capacity);
-  std::unique_ptr<LearnedSubQModel> learned;
-  const SubQObjectiveModel* model = &analytic;
-  if (artifacts.subq_model.trained()) {
-    learned = std::make_unique<LearnedSubQModel>(
-        &query, artifacts.cluster, artifacts.cost_params,
-        &artifacts.subq_model, artifacts.prices,
-        artifacts.eval_cache_capacity);
-    // A bitwise-transparent sink; see model/inference_sink.h.
-    learned->set_inference_sink(sink);
-    model = learned.get();
-  }
-
-  // Seed derivation identical to Tuner::Run — the bitwise-equivalence
-  // contract depends on it.
-  HmoocOptions ho = artifacts.hmooc;
-  ho.seed = HashCombine(service_seed, query.seed);
-  std::vector<Regressor> screens;
-  if (ho.fidelity.mode == FidelityMode::kDistilled &&
-      ho.fidelity.distilled == nullptr) {
-    auto trained =
-        TrainDistilledScreens(*model, ho.fidelity.distill_samples, ho.seed);
-    if (trained.ok()) {
-      screens = std::move(*trained);
-      ho.fidelity.distilled = &screens;
-    } else {
-      ho.fidelity.mode = FidelityMode::kOff;
-    }
-  }
-
-  HmoocSolver solver(model, ho);
-  auto moo = std::make_shared<const MooRunResult>(solver.Solve());
-  if (moo->pareto.empty()) {
-    return Status::Internal("solver returned an empty Pareto set");
-  }
-  return FrontMemo::Front(std::move(moo));
-}
 
 struct TuningService::PendingState {
   PendingState(TuningService* s, TuningRequest r)
@@ -127,7 +81,6 @@ TuningService::TuningService(ArtifactRegistry* registry,
     : registry_(registry),
       opts_(std::move(opts)),
       start_(std::chrono::steady_clock::now()) {
-  batcher_ = std::make_unique<InferenceBatcher>(opts_.batcher);
   for (const auto& [tenant, q] : opts_.quotas) {
     quotas_.emplace(std::piecewise_construct,
                     std::forward_as_tuple(tenant),
@@ -235,9 +188,13 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
   FrontMemo::Source source = FrontMemo::Source::kSolved;
   auto front = memo_.GetOrSolve(
       snap->version, query->name,
-      [&] {
-        return SolveCompileTimeFront(*snap, *query, opts_.seed,
-                                     batcher_.get());
+      [&]() -> Result<FrontMemo::Front> {
+        auto moo = std::make_shared<const MooRunResult>(SolveCompileTimeFront(
+            *query, snap->DirectTunerOptions(opts_.seed)));
+        if (moo->pareto.empty()) {
+          return Status::Internal("solver returned an empty Pareto set");
+        }
+        return FrontMemo::Front(std::move(moo));
       },
       &source);
   if (!front.ok()) return front.status();
@@ -291,7 +248,6 @@ void TuningService::PublishGauges() const {
   obs::GaugeSet("service.memo_misses", static_cast<double>(s.memo_misses));
   obs::GaugeSet("service.memo_waits", static_cast<double>(s.memo_waits));
   obs::GaugeSet("service.memo_entries", static_cast<double>(memo_.size()));
-  batcher_->PublishGauges();
 }
 
 }  // namespace sparkopt

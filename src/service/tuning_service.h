@@ -14,9 +14,7 @@
 #include "obs/metrics.h"
 #include "service/artifact_registry.h"
 #include "service/front_memo.h"
-#include "service/inference_batcher.h"
 #include "service/quota.h"
-#include "service/shared_eval_cache.h"
 
 /// \file tuning_service.h
 /// \brief Tuning-as-a-service: a long-lived in-process daemon serving
@@ -29,21 +27,18 @@
 /// either limit), and posts the request to a pool of N session workers.
 /// Each session snapshots the registry's current artifact version once
 /// and asks the FrontMemo for the compile-time Pareto front of
-/// (version, query name). On a miss it solves the front with the model
-/// stack a standalone Tuner::Run builds (analytic, or learned when the
-/// bundle's regressor is trained, its inference routed through the
-/// cross-session InferenceBatcher). Hit or miss, the request's own
-/// preference then picks the WUN configuration from a copy of the front.
+/// (version, query name). On a miss it runs SolveCompileTimeFront
+/// (tuner/tuner.h), the solve Tuner::Run uses, under the bundle's
+/// DirectTunerOptions. Hit or miss, the request's own preference then
+/// picks the WUN configuration from a copy of the front.
 ///
-/// Determinism: the version fixes the plans, the model, the cost/price
-/// book, the HmoocOptions and the eval-cache capacity, and the solver
-/// seed is HashCombine(service seed, query seed) — exactly Tuner::Run's
-/// derivation — so (version, query name) determines the front bit for
-/// bit, and the batcher coalesces a bitwise-batch-invariant kernel. A
-/// served front is therefore bitwise identical to a direct Tuner solve of
-/// the same (query, preference, artifact version) at any concurrency and
-/// hit pattern (tests/service/tuning_service_test.cc asserts it). The
-/// memo's single-flight, invalidation and memory bound: front_memo.h.
+/// Determinism: the version fixes every solve input and the solve is
+/// Tuner::Run's own, so (version, query name) determines the front bit
+/// for bit, and a served front is bitwise identical to a direct Tuner
+/// solve of the same (query, preference, artifact version) at any
+/// concurrency and hit pattern (tests/service/tuning_service_test.cc
+/// asserts it). The memo's single-flight, invalidation and memory bound:
+/// front_memo.h.
 ///
 /// Shutdown: kDrain completes everything admitted; kAbort discards the
 /// backlog, failing each shed request's future with Unavailable (the
@@ -64,9 +59,6 @@ struct TuningServiceOptions {
   /// Admitted-but-unstarted request bound; Submit fails with
   /// ResourceExhausted beyond it (open-loop load shedding).
   size_t queue_capacity = 256;
-  /// Cross-session inference coalescing on memo misses (enabled=false
-  /// dispatches each session's inference directly).
-  InferenceBatcherOptions batcher;
   /// Preference weights used when a request leaves its own empty.
   std::vector<double> default_preference = {0.9, 0.1};
   /// Tenant id -> quota. Tenants absent from the map are unthrottled.
@@ -108,14 +100,28 @@ struct TuningServiceResult {
   bool memo_hit = false;
 };
 
-/// Solves the compile-time Pareto front of `query` under `artifacts` with
-/// the model stack and seed Tuner::Run uses (seed HashCombine(
-/// `service_seed`, query.seed)). Learned-model inference goes through
-/// `sink` when non-null. Fails Internal on an empty front. This is the
-/// service's memo-miss path; benchmarks call it for unserved solves.
-Result<FrontMemo::Front> SolveCompileTimeFront(
-    const ServiceArtifacts& artifacts, const Query& query,
-    uint64_t service_seed, InferenceSink* sink);
+/// Deleted layer's counters, all 0; perfbench/service.cc still reads them.
+class SharedEvalCache {
+ public:
+  uint64_t hits() const { return 0; }
+  uint64_t misses() const { return 0; }
+  uint64_t evictions() const { return 0; }
+  size_t occupancy() const { return 0; }
+  size_t capacity() const { return 0; }
+};
+
+/// Deleted layer's all-zero stats; perfbench/service.cc still reads them.
+class InferenceBatcher {
+ public:
+  struct Stats {
+    uint64_t rows = 0;
+    uint64_t solo = 0;
+    uint64_t full_flushes = 0;
+    uint64_t timeout_flushes = 0;
+    uint64_t coalesced_rows = 0;
+  };
+  Stats stats() const { return {}; }
+};
 
 class TuningService {
  public:
@@ -161,18 +167,16 @@ class TuningService {
   /// queue wait + solve, the client-observed latency.
   const obs::Histogram& sojourn_us() const { return sojourn_us_; }
 
-  /// Always nullptr: the front memo replaced the eval-level shared
-  /// cache. The accessor and the SharedEvalCache class stay because the
-  /// repository benchmark (perfbench/service.cc) names both; its
-  /// shared-cache counters read 0.
+  /// Always nullptr; perfbench/service.cc still calls it.
   const SharedEvalCache* shared_cache() const { return nullptr; }
-  const InferenceBatcher& batcher() const { return *batcher_; }
+  /// Always all-zero stats; perfbench/service.cc still calls it.
+  InferenceBatcher batcher() const { return {}; }
   const FrontMemo& memo() const { return memo_; }
 
   const TuningServiceOptions& options() const { return opts_; }
 
-  /// Publishes "service.*" gauges into the installed obs session (memo,
-  /// batcher, admission counters). No-op without a session.
+  /// Publishes "service.*" gauges into the installed obs session (memo
+  /// and admission counters). No-op without a session.
   void PublishGauges() const;
 
  private:
@@ -189,7 +193,6 @@ class TuningService {
   ArtifactRegistry* const registry_;
   const TuningServiceOptions opts_;
   FrontMemo memo_;
-  std::unique_ptr<InferenceBatcher> batcher_;
   std::unique_ptr<ThreadPool> pool_;
 
   Mutex quota_mu_;

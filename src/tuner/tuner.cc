@@ -23,6 +23,60 @@ const char* TuningMethodName(TuningMethod m) {
   return "?";
 }
 
+namespace {
+
+/// The compile-time objective model: analytic, or learned when the
+/// options carry a trained regressor.
+class CompileTimeModel {
+ public:
+  CompileTimeModel(const Query& query, const TunerOptions& opts)
+      : analytic_(&query, opts.cluster, opts.cost_params, opts.prices) {
+    if (opts.learned_subq_model != nullptr &&
+        opts.learned_subq_model->trained()) {
+      learned_ = std::make_unique<LearnedSubQModel>(
+          &query, opts.cluster, opts.cost_params, opts.learned_subq_model,
+          opts.prices);
+    }
+  }
+
+  const SubQObjectiveModel* get() const {
+    if (learned_ != nullptr) return learned_.get();
+    return &analytic_;
+  }
+
+ private:
+  AnalyticSubQModel analytic_;
+  std::unique_ptr<LearnedSubQModel> learned_;
+};
+
+}  // namespace
+
+MooRunResult SolveCompileTimeFront(const Query& query,
+                                   const TunerOptions& opts) {
+  const CompileTimeModel model(query, opts);
+  HmoocOptions ho = opts.hmooc;
+  ho.seed = HashCombine(opts.seed, query.seed);
+  if (opts.num_threads >= 0) ho.num_threads = opts.num_threads;
+  // FidelityMode::kDistilled needs per-subQ screens; train them here
+  // when the caller did not supply any. Training failures fall back to
+  // the single-fidelity path rather than failing the solve.
+  std::vector<Regressor> screens;
+  if (ho.fidelity.mode == FidelityMode::kDistilled &&
+      ho.fidelity.distilled == nullptr) {
+    obs::Span distill_span("tuner.distill_screens");
+    auto trained =
+        TrainDistilledScreens(*model.get(), ho.fidelity.distill_samples,
+                              ho.seed);
+    if (trained.ok()) {
+      screens = std::move(*trained);
+      ho.fidelity.distilled = &screens;
+    } else {
+      ho.fidelity.mode = FidelityMode::kOff;
+    }
+  }
+  return HmoocSolver(model.get(), ho).Solve();
+}
+
 Result<TuningOutcome> Tuner::RunWithConfig(const Query& query,
                                            const std::vector<double>& conf,
                                            bool runtime_opt) const {
@@ -40,7 +94,7 @@ Result<TuningOutcome> Tuner::RunWithConfig(const Query& query,
 
   if (runtime_opt) {
     SubQEvaluator eval(&query, opts_.cluster, opts_.cost_params,
-                       opts_.prices, opts_.eval_cache_capacity);
+                       opts_.prices);
     RuntimeOptimizerOptions ro = opts_.runtime;
     ro.preference = opts_.preference;
     if (opts_.num_threads >= 0) ro.num_threads = opts_.num_threads;
@@ -77,80 +131,44 @@ Result<TuningOutcome> Tuner::Run(const Query& query,
     return out;
   }
 
-  // Compile-time objective model.
-  AnalyticSubQModel analytic(&query, opts_.cluster, opts_.cost_params,
-                             opts_.prices, opts_.eval_cache_capacity);
-  std::unique_ptr<LearnedSubQModel> learned;
-  const SubQObjectiveModel* model = &analytic;
-  if (opts_.learned_subq_model != nullptr &&
-      opts_.learned_subq_model->trained()) {
-    learned = std::make_unique<LearnedSubQModel>(
-        &query, opts_.cluster, opts_.cost_params, opts_.learned_subq_model,
-        opts_.prices, opts_.eval_cache_capacity);
-    model = learned.get();
-  }
-
   TuningOutcome out;
   out.method = method;
   out.query_name = query.name;
 
   obs::Span solve_span("tuner.compile_solve");
-  switch (method) {
-    case TuningMethod::kHmooc3:
-    case TuningMethod::kHmooc3Plus: {
-      HmoocOptions ho = opts_.hmooc;
-      ho.seed = HashCombine(opts_.seed, query.seed);
-      if (opts_.num_threads >= 0) ho.num_threads = opts_.num_threads;
-      // FidelityMode::kDistilled needs per-subQ screens; train them here
-      // when the caller did not supply any. Training failures fall back
-      // to the single-fidelity path rather than failing the solve.
-      std::vector<Regressor> screens;
-      if (ho.fidelity.mode == FidelityMode::kDistilled &&
-          ho.fidelity.distilled == nullptr) {
-        obs::Span distill_span("tuner.distill_screens");
-        auto trained = TrainDistilledScreens(
-            *model, ho.fidelity.distill_samples, ho.seed);
-        if (trained.ok()) {
-          screens = std::move(*trained);
-          ho.fidelity.distilled = &screens;
-        } else {
-          ho.fidelity.mode = FidelityMode::kOff;
-        }
+  if (method == TuningMethod::kHmooc3 ||
+      method == TuningMethod::kHmooc3Plus) {
+    out.moo = SolveCompileTimeFront(query, opts_);
+  } else {
+    const CompileTimeModel model(query, opts_);
+    FlatProblem flat(model.get(), /*fine_grained=*/false);
+    const uint64_t seed = HashCombine(opts_.seed, query.seed);
+    switch (method) {
+      case TuningMethod::kMoWs: {
+        WsOptions wo = opts_.mo_ws;
+        wo.seed = seed;
+        out.moo = SolveWeightedSum(flat, flat, wo);
+        break;
       }
-      HmoocSolver solver(model, ho);
-      out.moo = solver.Solve();
-      break;
+      case TuningMethod::kSoFixedWeights:
+        out.moo = SolveSoFixedWeights(flat, flat, opts_.preference,
+                                      opts_.so_fw_samples, seed);
+        break;
+      case TuningMethod::kEvoQuery: {
+        EvoOptions eo = opts_.evo;
+        eo.seed = seed;
+        out.moo = SolveEvo(flat, flat, eo);
+        break;
+      }
+      case TuningMethod::kPfQuery: {
+        PfOptions po = opts_.pf;
+        po.seed = seed;
+        out.moo = SolveProgressiveFrontier(flat, flat, po);
+        break;
+      }
+      default:
+        return Status::InvalidArgument("unsupported tuning method");
     }
-    case TuningMethod::kMoWs: {
-      FlatProblem flat(model, /*fine_grained=*/false);
-      WsOptions wo = opts_.mo_ws;
-      wo.seed = HashCombine(opts_.seed, query.seed);
-      out.moo = SolveWeightedSum(flat, flat, wo);
-      break;
-    }
-    case TuningMethod::kSoFixedWeights: {
-      FlatProblem flat(model, /*fine_grained=*/false);
-      out.moo = SolveSoFixedWeights(flat, flat, opts_.preference,
-                                    opts_.so_fw_samples,
-                                    HashCombine(opts_.seed, query.seed));
-      break;
-    }
-    case TuningMethod::kEvoQuery: {
-      FlatProblem flat(model, /*fine_grained=*/false);
-      EvoOptions eo = opts_.evo;
-      eo.seed = HashCombine(opts_.seed, query.seed);
-      out.moo = SolveEvo(flat, flat, eo);
-      break;
-    }
-    case TuningMethod::kPfQuery: {
-      FlatProblem flat(model, /*fine_grained=*/false);
-      PfOptions po = opts_.pf;
-      po.seed = HashCombine(opts_.seed, query.seed);
-      out.moo = SolveProgressiveFrontier(flat, flat, po);
-      break;
-    }
-    default:
-      return Status::InvalidArgument("unsupported tuning method");
   }
   solve_span.Arg("evaluations", static_cast<double>(out.moo.evaluations));
   solve_span.Arg("pareto_size", static_cast<double>(out.moo.pareto.size()));
@@ -180,8 +198,7 @@ Result<TuningOutcome> Tuner::Run(const Query& query,
   const ContextParams tc = DecodeContext(out.chosen.conf);
   PlanParams tp = DecodePlan(out.chosen.conf);
   StageParams ts = DecodeStage(out.chosen.conf);
-  SubQEvaluator eval(&query, opts_.cluster, opts_.cost_params, opts_.prices,
-                     opts_.eval_cache_capacity);
+  SubQEvaluator eval(&query, opts_.cluster, opts_.cost_params, opts_.prices);
   if (!out.chosen.per_subq_conf.empty()) {
     AggregateForSubmission(out.chosen.per_subq_conf, eval.subqueries(), &tp,
                            &ts);

@@ -53,10 +53,8 @@ struct TunerOptions {
   int so_fw_samples = 3000;
   /// Learned subQ model (nullptr = analytic compile-time model).
   const Regressor* learned_subq_model = nullptr;
-  /// Slots in the per-solve evaluation memo table (see model/
-  /// subq_evaluator.h). The default fits a single solve; long-lived
-  /// embedders (the tuning service) size it explicitly.
-  size_t eval_cache_capacity = EvalCache::kDefaultCapacity;
+  /// Ignored; perfbench/service.cc and perfbench/trace.cc still read it.
+  size_t eval_cache_capacity = 0;
   uint64_t seed = 17;
 };
 
@@ -77,6 +75,19 @@ struct TuningOutcome {
   RequestStats runtime_stats;
   double runtime_overhead_seconds = 0.0;
 };
+
+/// \brief The compile-time HMOOC solve of Tuner::Run (kHmooc3 and
+/// kHmooc3Plus), also the tuning service's memo-miss path, so a served
+/// front equals a direct solve by construction.
+///
+/// Solves against the analytic objective model, or the learned one when
+/// `opts.learned_subq_model` is trained. When `opts.hmooc.fidelity` asks
+/// for distilled screens and supplies none, trains them on that model,
+/// falling back to the single-fidelity solve if training fails. The
+/// solver seed is HashCombine(opts.seed, query.seed). A plan without
+/// subQs yields an empty Pareto set.
+MooRunResult SolveCompileTimeFront(const Query& query,
+                                   const TunerOptions& opts);
 
 /// \brief Assembles the observability record of one tuning session from
 /// the outcome plus the metrics and spans the instrumented pipeline

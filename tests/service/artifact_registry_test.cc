@@ -64,6 +64,17 @@ TEST(ArtifactRegistryTest, DuplicateAndEmptyQueryNamesRejected) {
   EXPECT_FALSE(a.AddQuery(std::move(unnamed)).ok());
 }
 
+TEST(ArtifactRegistryTest, EmptyPlanRejectedWithTheViolation) {
+  ServiceArtifacts a;
+  Query empty;
+  empty.name = "empty";
+  const Status st = a.AddQuery(std::move(empty));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("plan is empty"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(a.FindQuery("empty"), nullptr);
+}
+
 TEST(ArtifactRegistryTest, CatalogPointersStayStableAcrossAdds) {
   ServiceArtifacts a;
   const auto* c1 = a.AddCatalog(TpchCatalog(10));
