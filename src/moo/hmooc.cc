@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 
 #include "analysis/invariants.h"
 #include "common/check.h"
@@ -11,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "moo/dag_aggregation.h"
 #include "moo/kmeans.h"
-#include "moo/objective_models.h"
 #include "obs/trace.h"
 #include "params/sampler.h"
 
@@ -55,20 +53,6 @@ MooRunResult HmoocSolver::Solve() const {
   // A plan without operators has no subQs and so no front; callers see
   // the empty Pareto set (Tuner::Run fails Internal on it).
   if (m == 0) return MooRunResult();
-  // Multi-fidelity screening: route batched evaluations through the
-  // tiered wrapper. kOff (the default) and unusable screen configs take
-  // the raw model, keeping the single-fidelity path bitwise intact.
-  std::unique_ptr<ScreeningSubQModel> screening;
-  const SubQObjectiveModel* model = model_;
-  if (opts_.fidelity.mode != FidelityMode::kOff) {
-    screening =
-        std::make_unique<ScreeningSubQModel>(model_, opts_.fidelity);
-    if (screening->usable()) {
-      model = screening.get();
-    } else {
-      screening.reset();
-    }
-  }
   // Worker pool for the independent fan-outs below. All RNG draws happen
   // on this thread before each parallel region; workers only fill
   // index-addressed slots, so results are bitwise identical at any
@@ -140,7 +124,7 @@ MooRunResult HmoocSolver::Solve() const {
         std::vector<ObjectiveVector> fs;
         obs::Observe("hmooc.subq_batch_rows",
                      static_cast<double>(confs.size()));
-        model->EvaluateBatch(i, confs, &fs);
+        model_->EvaluateBatch(i, confs, &fs);
         for (size_t j : ParetoIndices(fs)) {
           opt_pool[r][i].push_back(static_cast<int>(j));
         }
@@ -169,7 +153,7 @@ MooRunResult HmoocSolver::Solve() const {
           std::vector<ObjectiveVector> fs;
           obs::Observe("hmooc.subq_batch_rows",
                        static_cast<double>(confs.size()));
-          model->EvaluateBatch(i, confs, &fs);
+          model_->EvaluateBatch(i, confs, &fs);
           auto& subq_set = (*eff)[base + c][i];
           // Keep only the member-level Pareto entries (Prop. 5.1).
           for (size_t idx : ParetoIndices(fs)) {
@@ -308,14 +292,6 @@ MooRunResult HmoocSolver::Solve() const {
   obs::Count("hmooc.solves");
   obs::Count("hmooc.model_evals", result.evaluations);
   obs::Count("hmooc.pareto_points", result.pareto.size());
-  if (screening) {
-    span.Arg("mf_tier0_evals",
-             static_cast<double>(screening->tier0_evals()));
-    span.Arg("mf_tier1_evals",
-             static_cast<double>(screening->tier1_evals()));
-    span.Arg("mf_batches",
-             static_cast<double>(screening->screened_batches()));
-  }
   return result;
 }
 

@@ -63,10 +63,7 @@ struct HmoocOptions {
   /// bitwise identical at any thread count: every parallel region writes
   /// index-addressed slots and all RNG draws stay on the calling thread.
   int num_threads = 0;
-  /// Multi-fidelity screening of the subQ-tuning batches (DESIGN.md
-  /// section 13). The default (FidelityMode::kOff) keeps the solve
-  /// bitwise identical to the single-fidelity path; any screen mode that
-  /// is unusable with the given model silently falls back to kOff.
+  /// Kept only because perfbench/trace.cc reads `fidelity.mode`.
   FidelityOptions fidelity;
   uint64_t seed = 1;
 };

@@ -21,41 +21,13 @@
 namespace sparkopt {
 
 class SubQEvaluator;
-class Regressor;
 
-/// Tier-0 screen used by the multi-fidelity solve pipeline
-/// (moo/objective_models.h; DESIGN.md section 13).
-enum class FidelityMode {
-  kOff = 0,    ///< single fidelity: every candidate pays the full model
-  kAnalytic,   ///< screen with SubQEvaluator::EvaluateScreen (coarse cost)
-  kDistilled   ///< screen with per-subQ distilled tiny regressors
-};
+/// Kept only because perfbench/trace.cc compiles against it.
+enum class FidelityMode { kOff };
 
-/// \brief Knobs of the tiered (multi-fidelity) evaluation pipeline.
-///
-/// The default (kOff) is guaranteed to leave every solve path untouched —
-/// bitwise-identical fronts to the single-fidelity solver. With a screen
-/// enabled, each batch is first evaluated at tier 0; candidates within
-/// `survival_margin` of the tier-0 Pareto front (dominance-aware ratio,
-/// see SelectSurvivors2) escalate to the full tier-1 model, plus a
-/// guaranteed-promotion floor so the tier-0 extremes and at least
-/// max(min_promote, promote_frac * n) candidates always escalate. Final
-/// fronts are built from tier-1 objectives only: screening can lose
-/// quality, never fabricate points.
+/// Kept only because perfbench/trace.cc reads HmoocOptions::fidelity.mode.
 struct FidelityOptions {
   FidelityMode mode = FidelityMode::kOff;
-  /// Survival band around the tier-0 front: candidate i survives when
-  /// min over front points g of max(f_i0/g0, f_i1/g1) <= 1 + margin.
-  double survival_margin = 0.15;
-  /// Floor on promoted candidates per batch (absolute and fractional).
-  int min_promote = 8;
-  double promote_frac = 0.10;
-  /// kDistilled only: tier-1-labeled training confs per subQ (used by
-  /// TrainDistilledScreens; ignored at solve time).
-  int distill_samples = 160;
-  /// kDistilled only: one trained screen per subQ (size must equal
-  /// num_subqs). Not owned; must outlive the solve.
-  const std::vector<Regressor>* distilled = nullptr;
 };
 
 /// \brief Per-subQ objective evaluation phi(subQ_i; theta).
@@ -94,11 +66,7 @@ class SubQObjectiveModel {
   /// Number of model evaluations performed so far (for benchmarks).
   virtual size_t eval_count() const = 0;
 
-  /// \brief The analytical evaluator backing this model, when one exists
-  /// (both concrete models are built over a SubQEvaluator). Gives the
-  /// multi-fidelity pipeline access to the cheap EvaluateScreen path;
-  /// nullptr means FidelityMode::kAnalytic cannot be used with this
-  /// model.
+  /// Kept only because perfbench/trace.cc (TimedModel) overrides it.
   virtual const SubQEvaluator* screen_evaluator() const { return nullptr; }
 
   /// Query-level objectives: sum over subQs with shared theta_c and

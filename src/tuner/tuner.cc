@@ -57,23 +57,6 @@ MooRunResult SolveCompileTimeFront(const Query& query,
   HmoocOptions ho = opts.hmooc;
   ho.seed = HashCombine(opts.seed, query.seed);
   if (opts.num_threads >= 0) ho.num_threads = opts.num_threads;
-  // FidelityMode::kDistilled needs per-subQ screens; train them here
-  // when the caller did not supply any. Training failures fall back to
-  // the single-fidelity path rather than failing the solve.
-  std::vector<Regressor> screens;
-  if (ho.fidelity.mode == FidelityMode::kDistilled &&
-      ho.fidelity.distilled == nullptr) {
-    obs::Span distill_span("tuner.distill_screens");
-    auto trained =
-        TrainDistilledScreens(*model.get(), ho.fidelity.distill_samples,
-                              ho.seed);
-    if (trained.ok()) {
-      screens = std::move(*trained);
-      ho.fidelity.distilled = &screens;
-    } else {
-      ho.fidelity.mode = FidelityMode::kOff;
-    }
-  }
   return HmoocSolver(model.get(), ho).Solve();
 }
 

@@ -81,11 +81,9 @@ struct TuningOutcome {
 /// front equals a direct solve by construction.
 ///
 /// Solves against the analytic objective model, or the learned one when
-/// `opts.learned_subq_model` is trained. When `opts.hmooc.fidelity` asks
-/// for distilled screens and supplies none, trains them on that model,
-/// falling back to the single-fidelity solve if training fails. The
-/// solver seed is HashCombine(opts.seed, query.seed). A plan without
-/// subQs yields an empty Pareto set.
+/// `opts.learned_subq_model` is trained. The solver seed is
+/// HashCombine(opts.seed, query.seed). A plan without subQs yields an
+/// empty Pareto set.
 MooRunResult SolveCompileTimeFront(const Query& query,
                                    const TunerOptions& opts);
 

@@ -8,6 +8,7 @@ DESIGN.md section 11.
 
 Usage:
   sparkopt_lint.py [--root DIR]     # lint src/ bench/ tests/ examples/
+                                    # and tools/bench_schema.json
   sparkopt_lint.py --selftest       # run the golden-fixture suite
   sparkopt_lint.py --list-rules
 
@@ -258,13 +259,15 @@ def _bench_result(ctx):
                        "benchutil::EmitJson (bench_util.h)")
 
 
+SCHEMA_PATH = "tools/bench_schema.json"
+_EMIT_RX = re.compile(r'EmitJson\(\s*"([^"]+)"')
 _SCHEMA_CACHE = {}
 
 
 def _bench_schema_names(root):
     """Registered RESULT names from tools/bench_schema.json, or None when
     the registry is missing/unparseable (cached per root)."""
-    path = os.path.abspath(os.path.join(root, "tools", "bench_schema.json"))
+    path = os.path.abspath(os.path.join(root, SCHEMA_PATH))
     if path not in _SCHEMA_CACHE:
         try:
             with open(path, encoding="utf-8") as f:
@@ -284,9 +287,8 @@ def _bench_schema_names(root):
 def _bench_result_schema(ctx):
     # Raw lines: the name lives inside a string literal, which the
     # stripped view blanks out.
-    rx = re.compile(r'EmitJson\(\s*"([^"]+)"')
     uses = [(ln, name) for ln, line in enumerate(ctx.raw_lines, 1)
-            for name in rx.findall(line)]
+            for name in _EMIT_RX.findall(line)]
     if not uses:
         return
     registered = _bench_schema_names(ctx.root)
@@ -299,6 +301,54 @@ def _bench_result_schema(ctx):
             yield ln, (f"RESULT name '{name}' is not registered in "
                        "tools/bench_schema.json; declare its keys, metrics, "
                        "and thresholds there")
+
+
+_EMITTED_CACHE = {}
+
+
+def _emitted_result_names(root):
+    """RESULT names passed as string literals to EmitJson in code (not
+    comments) under bench/ and examples/ (cached per root)."""
+    key = os.path.abspath(root)
+    if key not in _EMITTED_CACHE:
+        names = set()
+        for relpath in iter_source_files(root):
+            if not relpath.startswith(("bench/", "examples/")):
+                continue
+            with open(os.path.join(root, relpath), encoding="utf-8",
+                      errors="replace") as f:
+                raw = f.read()
+            code_lines = strip_comments_and_strings(raw).splitlines()
+            for raw_line, code in zip(raw.splitlines(), code_lines):
+                if "EmitJson(" in code:
+                    names.update(_EMIT_RX.findall(raw_line))
+        _EMITTED_CACHE[key] = names
+    return _EMITTED_CACHE[key]
+
+
+@rule(
+    "bench-schema-emitter",
+    "every RESULT registered in tools/bench_schema.json must have an "
+    "EmitJson(\"<name>\" emitter under bench/ or examples/, so the registry "
+    "carries no gate for a deleted bench (reverse of bench-result-schema)",
+    lambda relpath: relpath == SCHEMA_PATH,
+)
+def _bench_schema_emitter(ctx):
+    try:
+        registered = json.loads(ctx.raw).get("results", {})
+    except ValueError:
+        yield 1, "tools/bench_schema.json is unparseable"
+        return
+    emitted = _emitted_result_names(ctx.root)
+    for name in registered:
+        if name in emitted:
+            continue
+        entry = re.compile(r'^\s*"' + re.escape(name) + r'"\s*:\s*\{')
+        ln = next((i for i, line in enumerate(ctx.raw_lines, 1)
+                   if entry.match(line)), 1)
+        yield ln, (f"RESULT '{name}' is registered but nothing under "
+                   f"bench/ or examples/ emits it via EmitJson; delete the "
+                   "entry or restore its emitter")
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +370,9 @@ def iter_source_files(root):
                 if fn.endswith(SOURCE_EXTS):
                     path = os.path.join(dirpath, fn)
                     yield os.path.relpath(path, root).replace(os.sep, "/")
+    # The RESULT registry is linted too (rule bench-schema-emitter).
+    if os.path.isfile(os.path.join(root, SCHEMA_PATH)):
+        yield SCHEMA_PATH
 
 
 def lint_file(root, relpath):
