@@ -59,6 +59,46 @@ TEST(ParetoVerifierTest, WeakDominanceIsFlagged) {
                         "not mutually non-dominated"));
 }
 
+TEST(ParetoVerifierTest, CleanThreeObjectiveFrontPasses) {
+  EXPECT_TRUE(ReportClean(
+      RunVerifier({{1.0, 2.0, 3.0}, {2.0, 3.0, 1.0}, {3.0, 1.0, 2.0}})));
+}
+
+TEST(ParetoVerifierTest, DominatedOnlyThroughZIsInternal) {
+  // Points 2 and 3 tie on (x, y); only z separates them, and the (x, y)
+  // projection of the whole front is clean.
+  auto report = RunVerifier(
+      {{1.0, 5.0, 9.0}, {5.0, 1.0, 9.0}, {3.0, 3.0, 2.0}, {3.0, 3.0, 4.0}});
+  EXPECT_TRUE(ReportHas(report, StatusCode::kInternal,
+                        "dominated by point 2"));
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].location, "point 3/4");
+}
+
+TEST(ParetoVerifierTest, WeakThreeObjectiveDominanceIsFlagged) {
+  // Equal in z, strictly better in x and y.
+  auto report = RunVerifier({{1.0, 2.0, 3.0}, {2.0, 3.0, 3.0}});
+  EXPECT_TRUE(ReportHas(report, StatusCode::kInternal,
+                        "not mutually non-dominated"));
+  EXPECT_EQ(report.violations.size(), 1u);
+}
+
+TEST(ParetoVerifierTest, ThreeObjectiveDuplicatesAreClean) {
+  EXPECT_TRUE(ReportClean(
+      RunVerifier({{1.0, 2.0, 3.0}, {1.0, 2.0, 3.0}, {3.0, 2.0, 1.0}})));
+}
+
+TEST(ParetoVerifierTest, FourObjectiveDominatedPointIsInternal) {
+  // k = 4 has no kernel fast path; the pairwise scan must still name the
+  // dominated point.
+  auto report = RunVerifier(
+      {{1.0, 2.0, 3.0, 4.0}, {4.0, 3.0, 2.0, 1.0}, {2.0, 3.0, 4.0, 5.0}});
+  EXPECT_TRUE(ReportHas(report, StatusCode::kInternal,
+                        "dominated by point 0"));
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].location, "point 2/3");
+}
+
 TEST(ParetoVerifierTest, NonFiniteObjectiveIsOutOfRange) {
   auto report =
       RunVerifier({{1.0, std::numeric_limits<double>::quiet_NaN()}, {2.0, 3.0}});
