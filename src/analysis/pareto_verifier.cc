@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "common/pareto_flat.h"
+#include "common/pareto.h"
 
 namespace sparkopt {
 namespace analysis {
@@ -52,30 +52,13 @@ VerifyReport ParetoVerifier::Verify(const VerifyInput& in) const {
   }
   if (!dims_ok) return report;
 
-  // Mutual non-dominance. For k = 2 and k = 3 the flat kernel decides
-  // the common all-clear case in O(n log n); the quadratic scan below
-  // only runs to name the offending pairs in the report. Dominates() is
-  // strict, so exact duplicates (stable-order ties kept by
-  // ParetoIndices) never flag each other.
-  if (k == 2 || k == 3) {
-    ParetoScratch scratch;
-    scratch.ax.resize(n);
-    scratch.ay.resize(n);
-    if (k == 3) scratch.az.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      scratch.ax[i] = front[i][0];
-      scratch.ay[i] = front[i][1];
-      if (k == 3) scratch.az[i] = front[i][2];
-    }
-    if (k == 3) {
-      FlatParetoPositions3(scratch.ax.data(), scratch.ay.data(),
-                           scratch.az.data(), n, &scratch.kept, &scratch);
-    } else {
-      FlatParetoPositions(scratch.ax.data(), scratch.ay.data(), n,
-                          &scratch.kept, &scratch);
-    }
-    if (scratch.kept.size() == n) return report;
-  }
+  // Mutual non-dominance. For k = 2 and k = 3 the flat kernel behind
+  // ParetoIndices decides the common all-clear case in O(n log n); the
+  // quadratic scan below only runs to name the offending pairs in the
+  // report (and for any other k). Dominates() is strict, so exact
+  // duplicates (stable-order ties kept by ParetoIndices) never flag each
+  // other.
+  if ((k == 2 || k == 3) && ParetoIndices(front).size() == n) return report;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
       if (i != j && Dominates(front[i], front[j])) {

@@ -1,23 +1,28 @@
 #include "common/pareto.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 
+#include "common/check.h"
 #include "common/pareto_flat.h"
 
 namespace sparkopt {
 
 namespace {
 
-// Per-thread kernel scratch for the AoS shims: solver worker threads
-// call these concurrently, and the buffers reach a steady state after
-// the first few calls on each thread.
-ParetoScratch& TlsScratch() {
-  thread_local ParetoScratch scratch;
-  return scratch;
+// Per-thread SoA staging columns and kernel scratch: solver worker
+// threads call the wrappers below concurrently, and the buffers reach a
+// steady state after the first few calls on each thread. The columns
+// live outside the scratch, so no kernel can overwrite its own input.
+struct Staging {
+  std::vector<double> x, y, z;
+  ParetoScratch scratch;
+};
+
+Staging& TlsStaging() {
+  thread_local Staging staging;
+  return staging;
 }
 
 }  // namespace
@@ -32,76 +37,29 @@ bool Dominates(const ObjectiveVector& a, const ObjectiveVector& b) {
   return strictly_better;
 }
 
-namespace {
-
-// Sort-based 2D non-dominated filter (Kung et al. 1975), routed through
-// the flat kernel: one SoA staging pass replaces the ObjectiveVector
-// comparator sort, and the scratch buffers persist per thread.
-std::vector<size_t> Pareto2D(const std::vector<ObjectiveVector>& pts) {
-  ParetoScratch& scratch = TlsScratch();
-  scratch.ax.resize(pts.size());
-  scratch.ay.resize(pts.size());
-  for (size_t i = 0; i < pts.size(); ++i) {
-    scratch.ax[i] = pts[i][0];
-    scratch.ay[i] = pts[i][1];
-  }
-  FlatParetoPositions(scratch.ax.data(), scratch.ay.data(), pts.size(),
-                      &scratch.kept, &scratch);
-  return {scratch.kept.begin(), scratch.kept.end()};
-}
-
-// 3-D filter routed through the flat kernel's staircase sweep; same set
-// and order as ParetoKD on 3-objective input (the property suite pins
-// both against the quadratic reference).
-std::vector<size_t> Pareto3D(const std::vector<ObjectiveVector>& pts) {
-  ParetoScratch& scratch = TlsScratch();
-  scratch.ax.resize(pts.size());
-  scratch.ay.resize(pts.size());
-  scratch.az.resize(pts.size());
-  for (size_t i = 0; i < pts.size(); ++i) {
-    scratch.ax[i] = pts[i][0];
-    scratch.ay[i] = pts[i][1];
-    scratch.az[i] = pts[i][2];
-  }
-  FlatParetoPositions3(scratch.ax.data(), scratch.ay.data(), scratch.az.data(),
-                       pts.size(), &scratch.kept, &scratch);
-  return {scratch.kept.begin(), scratch.kept.end()};
-}
-
-// Generic k-D filter. Pre-sorts by sum of objectives so dominators tend to
-// be visited first, which keeps the non-dominated archive small.
-std::vector<size_t> ParetoKD(const std::vector<ObjectiveVector>& pts) {
-  std::vector<size_t> order(pts.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t i, size_t j) {
-    double si = 0, sj = 0;
-    for (double v : pts[i]) si += v;
-    for (double v : pts[j]) sj += v;
-    if (si != sj) return si < sj;
-    return i < j;
-  });
-  std::vector<size_t> archive;
-  for (size_t idx : order) {
-    bool dominated = false;
-    for (size_t a : archive) {
-      if (Dominates(pts[a], pts[idx])) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) archive.push_back(idx);
-  }
-  std::sort(archive.begin(), archive.end());
-  return archive;
-}
-
-}  // namespace
-
 std::vector<size_t> ParetoIndices(const std::vector<ObjectiveVector>& points) {
   if (points.empty()) return {};
-  if (points[0].size() == 2) return Pareto2D(points);
-  if (points[0].size() == 3) return Pareto3D(points);
-  return ParetoKD(points);
+  const size_t n = points.size();
+  const size_t k = points[0].size();
+  SPARKOPT_CHECK(k == 2 || k == 3)
+      << "ParetoIndices supports 2 or 3 objectives, got " << k;
+  Staging& st = TlsStaging();
+  st.x.resize(n);
+  st.y.resize(n);
+  st.z.resize(k == 3 ? n : 0);
+  for (size_t i = 0; i < n; ++i) {
+    st.x[i] = points[i][0];
+    st.y[i] = points[i][1];
+    if (k == 3) st.z[i] = points[i][2];
+  }
+  std::vector<uint32_t>& kept = st.scratch.kept;
+  if (k == 2) {
+    FlatParetoPositions(st.x.data(), st.y.data(), n, &kept, &st.scratch);
+  } else {
+    FlatParetoPositions3(st.x.data(), st.y.data(), st.z.data(), n, &kept,
+                         &st.scratch);
+  }
+  return {kept.begin(), kept.end()};
 }
 
 std::vector<ObjectiveVector> ParetoFilter(
@@ -117,76 +75,15 @@ double Hypervolume2D(const std::vector<ObjectiveVector>& front,
   // Staircase sweep in the flat kernel: dominated/duplicate points fail
   // the strict-improvement test there, so no filter or dedup pass is
   // needed and the accumulated terms are identical.
-  ParetoScratch& scratch = TlsScratch();
-  scratch.ax.resize(front.size());
-  scratch.ay.resize(front.size());
+  Staging& st = TlsStaging();
+  st.x.resize(front.size());
+  st.y.resize(front.size());
   for (size_t i = 0; i < front.size(); ++i) {
-    scratch.ax[i] = front[i][0];
-    scratch.ay[i] = front[i][1];
+    st.x[i] = front[i][0];
+    st.y[i] = front[i][1];
   }
-  return FlatHypervolume2(scratch.ax.data(), scratch.ay.data(), front.size(),
-                          ref[0], ref[1], &scratch);
-}
-
-namespace {
-
-// Recursive hypervolume by slicing on the last objective (simple exact
-// algorithm, adequate for fronts of tens of points).
-double HvRecursive(std::vector<ObjectiveVector> pts,
-                   const ObjectiveVector& ref) {
-  const size_t k = ref.size();
-  if (pts.empty()) return 0.0;
-  if (k == 2) return Hypervolume2D(pts, ref);
-  // Sort by last objective ascending; sweep slices.
-  std::sort(pts.begin(), pts.end(),
-            [k](const ObjectiveVector& a, const ObjectiveVector& b) {
-              return a[k - 1] < b[k - 1];
-            });
-  double hv = 0.0;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    const double z_lo = pts[i][k - 1];
-    if (z_lo >= ref[k - 1]) break;
-    const double z_hi = (i + 1 < pts.size())
-                            ? std::min(pts[i + 1][k - 1], ref[k - 1])
-                            : ref[k - 1];
-    const double depth = z_hi - z_lo;
-    if (depth <= 0) continue;
-    // Project points with z <= z_lo into (k-1) dims.
-    std::vector<ObjectiveVector> proj;
-    ObjectiveVector sub_ref(ref.begin(), ref.end() - 1);
-    for (size_t j = 0; j <= i; ++j) {
-      proj.emplace_back(pts[j].begin(), pts[j].end() - 1);
-    }
-    hv += depth * HvRecursive(std::move(proj), sub_ref);
-  }
-  return hv;
-}
-
-}  // namespace
-
-double Hypervolume(const std::vector<ObjectiveVector>& front,
-                   const ObjectiveVector& ref) {
-  if (front.empty()) return 0.0;
-  if (ref.size() == 2) return Hypervolume2D(front, ref);
-  if (ref.size() == 3) {
-    // Flat slab sweep, bitwise identical to HvRecursive (tied slabs have
-    // zero depth, so the recursion's tie order never reaches the sum).
-    // Stage into the b-side buffers: FlatHypervolume3 uses ax/ay/az as
-    // its own internal staging.
-    ParetoScratch& scratch = TlsScratch();
-    scratch.bx.resize(front.size());
-    scratch.by.resize(front.size());
-    scratch.bz.resize(front.size());
-    for (size_t i = 0; i < front.size(); ++i) {
-      scratch.bx[i] = front[i][0];
-      scratch.by[i] = front[i][1];
-      scratch.bz[i] = front[i][2];
-    }
-    return FlatHypervolume3(scratch.bx.data(), scratch.by.data(),
-                            scratch.bz.data(), front.size(), ref[0], ref[1],
-                            ref[2], &scratch);
-  }
-  return HvRecursive(front, ref);
+  return FlatHypervolume2(st.x.data(), st.y.data(), front.size(), ref[0],
+                          ref[1], &st.scratch);
 }
 
 size_t WeightedUtopiaNearest(const std::vector<ObjectiveVector>& front,
@@ -219,104 +116,25 @@ size_t WeightedUtopiaNearest(const std::vector<ObjectiveVector>& front,
   return best;
 }
 
-IndexedFront FilterDominated(IndexedFront front) {
-  auto keep = ParetoIndices(front.points);
-  IndexedFront out;
-  out.points.reserve(keep.size());
-  out.payloads.reserve(keep.size());
-  for (size_t i : keep) {
-    out.points.push_back(std::move(front.points[i]));
-    if (i < front.payloads.size()) out.payloads.push_back(front.payloads[i]);
-  }
-  return out;
-}
-
-IndexedFront MergeFronts(const IndexedFront& a, const IndexedFront& b,
-                         std::vector<std::pair<size_t, size_t>>* combo_out) {
-  const size_t k = a.empty() ? 0 : a.points[0].size();
-  if (k == 3) {
-    ParetoScratch& scratch = TlsScratch();
-    Front3 fa, fb, merged;
-    fa.reserve(a.size());
-    fb.reserve(b.size());
-    for (const auto& p : a.points) fa.Append(p[0], p[1], p[2], 0);
-    for (const auto& p : b.points) fb.Append(p[0], p[1], p[2], 0);
-    FlatMerge3(fa, fb, &merged, &scratch);
-
-    const size_t combo_base = combo_out != nullptr ? combo_out->size() : 0;
-    IndexedFront out;
-    out.points.reserve(merged.size());
-    out.payloads.reserve(merged.size());
-    if (combo_out != nullptr) combo_out->reserve(combo_base + merged.size());
-    for (size_t p = 0; p < merged.size(); ++p) {
-      out.points.push_back({merged.x[p], merged.y[p], merged.z[p]});
-      out.payloads.push_back(combo_base + p);
-      if (combo_out != nullptr) {
-        const MergePair& pair = scratch.pairs[p];
-        combo_out->emplace_back(
-            a.payloads.empty() ? pair.i : a.payloads[pair.i],
-            b.payloads.empty() ? pair.j : b.payloads[pair.j]);
-      }
-    }
-    return out;
-  }
-  if (k != 2) return MergeFrontsNaive(a, b, combo_out);
-
-  ParetoScratch& scratch = TlsScratch();
-  Front2 fa, fb, merged;
-  fa.reserve(a.size());
-  fb.reserve(b.size());
-  for (const auto& p : a.points) fa.Append(p[0], p[1], 0);
-  for (const auto& p : b.points) fb.Append(p[0], p[1], 0);
-  FlatMerge2(fa, fb, &merged, &scratch);
-
-  const size_t combo_base = combo_out != nullptr ? combo_out->size() : 0;
-  IndexedFront out;
-  out.points.reserve(merged.size());
-  out.payloads.reserve(merged.size());
-  if (combo_out != nullptr) combo_out->reserve(combo_base + merged.size());
-  for (size_t p = 0; p < merged.size(); ++p) {
-    out.points.push_back({merged.x[p], merged.y[p]});
-    out.payloads.push_back(combo_base + p);
-    if (combo_out != nullptr) {
-      const MergePair& pair = scratch.pairs[p];
-      combo_out->emplace_back(
-          a.payloads.empty() ? pair.i : a.payloads[pair.i],
-          b.payloads.empty() ? pair.j : b.payloads[pair.j]);
-    }
-  }
-  return out;
-}
-
-IndexedFront MergeFrontsNaive(
-    const IndexedFront& a, const IndexedFront& b,
-    std::vector<std::pair<size_t, size_t>>* combo_out) {
-  IndexedFront combined;
-  std::vector<std::pair<size_t, size_t>> combos;
-  combined.points.reserve(a.size() * b.size());
-  combos.reserve(a.size() * b.size());
-  const size_t k = a.empty() ? 0 : a.points[0].size();
+std::vector<ObjectiveVector> MergeFrontsNaive(
+    const std::vector<ObjectiveVector>& a,
+    const std::vector<ObjectiveVector>& b, std::vector<MergePair>* pairs) {
+  pairs->clear();
+  std::vector<ObjectiveVector> product;
+  product.reserve(a.size() * b.size());
+  const size_t k = a.empty() ? 0 : a[0].size();
   for (size_t i = 0; i < a.size(); ++i) {
     for (size_t j = 0; j < b.size(); ++j) {
       ObjectiveVector sum(k);
-      for (size_t d = 0; d < k; ++d) {
-        sum[d] = a.points[i][d] + b.points[j][d];
-      }
-      combined.points.push_back(std::move(sum));
-      combos.emplace_back(a.payloads.empty() ? i : a.payloads[i],
-                          b.payloads.empty() ? j : b.payloads[j]);
+      for (size_t d = 0; d < k; ++d) sum[d] = a[i][d] + b[j][d];
+      product.push_back(std::move(sum));
     }
   }
-  auto keep = ParetoIndices(combined.points);
-  const size_t combo_base = combo_out != nullptr ? combo_out->size() : 0;
-  IndexedFront out;
-  out.points.reserve(keep.size());
-  out.payloads.reserve(keep.size());
-  if (combo_out != nullptr) combo_out->reserve(combo_base + keep.size());
-  for (size_t idx : keep) {
-    out.points.push_back(std::move(combined.points[idx]));
-    out.payloads.push_back(combo_base + (out.points.size() - 1));
-    if (combo_out != nullptr) combo_out->push_back(combos[idx]);
+  std::vector<ObjectiveVector> out;
+  for (size_t idx : ParetoIndices(product)) {
+    out.push_back(std::move(product[idx]));
+    pairs->push_back({static_cast<uint32_t>(idx / b.size()),
+                      static_cast<uint32_t>(idx % b.size())});
   }
   return out;
 }

@@ -1,25 +1,22 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
+#include "common/pareto_flat.h"
+
 /// \file pareto.h
-/// \brief Pareto-set primitives used across the optimizer: dominance
-/// checks, non-dominated filtering (Kung et al. sort-based algorithm for
-/// 2D, generic sweep for k-D), hypervolume, Weighted-Utopia-Nearest (WUN)
-/// recommendation, and the Minkowski-sum merge that underlies HMOOC's
-/// divide-and-conquer DAG aggregation (Algorithm 3 in the paper).
+/// \brief Pareto-set primitives over `ObjectiveVector` points: dominance,
+/// the non-dominated filter, 2-D hypervolume, and the
+/// Weighted-Utopia-Nearest (WUN) recommendation. The Minkowski-sum merge
+/// of HMOOC's divide-and-conquer DAG aggregation (Algorithm 3) runs on
+/// the flat kernel (`FlatMerge2`/`FlatMerge3` in pareto_flat.h);
+/// `MergeFrontsNaive` below is its materializing oracle.
 ///
 /// All objectives are minimized. A point with k objectives is a
-/// std::vector<double> of size k.
-///
-/// This header is the AoS shim over the flat kernel in pareto_flat.h:
-/// the 2- and 3-objective paths of ParetoIndices, Hypervolume, and
-/// MergeFronts delegate to the structure-of-arrays kernel and are
-/// bitwise identical — same points, same payload mapping, same stable
-/// tie order — to the naive formulations they replaced (the naive merge
-/// survives as MergeFrontsNaive for property tests and k > 3).
+/// std::vector<double> of size k, and the solvers produce k ∈ {2, 3}
+/// only. The filter and hypervolume delegate to the structure-of-arrays
+/// kernel through a per-thread scratch.
 
 namespace sparkopt {
 
@@ -32,11 +29,10 @@ bool Dominates(const ObjectiveVector& a, const ObjectiveVector& b);
 
 /// \brief Indices of the non-dominated points in `points`.
 ///
-/// For 2-objective inputs this runs the classical sort-based Kung
-/// algorithm in O(n log n); 3-objective inputs take the flat kernel's
-/// staircase sweep (same complexity); k > 3 falls back to a pruned
-/// pairwise sweep. Ties: duplicate non-dominated points are all kept
-/// (stable order by original index).
+/// k = 2 runs the sort-based Kung sweep, k = 3 the flat kernel's
+/// staircase sweep, both O(n log n); any other k is a CHECK failure.
+/// Ties: duplicate non-dominated points are all kept (ascending index
+/// order).
 std::vector<size_t> ParetoIndices(const std::vector<ObjectiveVector>& points);
 
 /// \brief Filters `points` to its Pareto front (convenience wrapper).
@@ -50,13 +46,6 @@ std::vector<ObjectiveVector> ParetoFilter(
 double Hypervolume2D(const std::vector<ObjectiveVector>& front,
                      const ObjectiveVector& ref);
 
-/// \brief Hypervolume for k objectives; intended for the small fronts
-/// (tens of points) this project produces. k = 2 routes to Hypervolume2D,
-/// k = 3 to the flat kernel's slab sweep (bitwise identical to the
-/// recursive slicing it replaced), k > 3 to recursive slicing.
-double Hypervolume(const std::vector<ObjectiveVector>& front,
-                   const ObjectiveVector& ref);
-
 /// \brief Weighted-Utopia-Nearest recommendation (Section 3.3.2).
 ///
 /// Objectives are min-max normalized over the front; the utopia point is
@@ -66,51 +55,18 @@ double Hypervolume(const std::vector<ObjectiveVector>& front,
 size_t WeightedUtopiaNearest(const std::vector<ObjectiveVector>& front,
                              const std::vector<double>& weights);
 
-/// \brief A Pareto front where each point carries an opaque payload id
-/// (e.g. an index into a configuration table). Used by DAG aggregation.
-struct IndexedFront {
-  std::vector<ObjectiveVector> points;
-  /// payloads[i] identifies the configuration(s) behind points[i]. For
-  /// merged fronts this is an index into a caller-maintained combination
-  /// table.
-  std::vector<size_t> payloads;
-
-  size_t size() const { return points.size(); }
-  bool empty() const { return points.empty(); }
-};
-
-/// \brief Keeps only the non-dominated entries of `front` (points and
-/// payloads filtered consistently).
-IndexedFront FilterDominated(IndexedFront front);
-
-/// \brief Minkowski-sum merge of two fronts (Algorithm 3): sums every
-/// |a| x |b| combination of objective vectors and keeps the Pareto front
-/// (the non-dominated multiset, duplicates included), ordered by
-/// cross-product index i * |b| + j. For 2- and 3-objective input the
-/// output-sensitive flat kernel (pareto_flat.h) is used, so the product
-/// is never materialized; k > 3 falls back to MergeFrontsNaive.
-///
-/// Payload contract: each surviving point originates from one
-/// (a-point, b-point) combination. When `combo_out` is non-null the pair
-/// (a.payloads[i], b.payloads[j]) of the p-th survivor is **appended**
-/// to `*combo_out` (empty input payloads degrade to positions), and
-/// `out.payloads[p]` is the index of that row in the grown table — i.e.
-/// combo_out->size() before the call, plus p. Appending (rather than
-/// overwriting) lets a caller chain merges over one combination table:
-/// a payload always resolves to the table row that reconstructs its
-/// full combination. With `combo_out == nullptr` the payloads still
-/// number survivors 0..n-1 against an imaginary empty table.
+/// \brief Reference Minkowski-sum merge that materializes the full
+/// |a| x |b| cross product and filters it with `ParetoIndices`. Returns
+/// the kept sums in cross-product order (i * |b| + j ascending) and
+/// writes their originating positions to `*pairs` (cleared first) — the
+/// `FlatMerge2`/`FlatMerge3` contract, so the kernel's points and
+/// `ParetoScratch::pairs` compare against it bit for bit. The oracle of
+/// the kernel's property tests and the naive side of `bench_pareto_ops`.
 ///
 /// By Proposition B.1, Pf(Pf(F) ⊕ Pf(G)) = Pf(F x G), so merging the
 /// children's fronts loses no query-level Pareto solution.
-IndexedFront MergeFronts(const IndexedFront& a, const IndexedFront& b,
-                         std::vector<std::pair<size_t, size_t>>* combo_out);
-
-/// \brief Reference implementation of MergeFronts that materializes the
-/// full cross product before filtering. Identical output contract (any
-/// k). Kept as the oracle for the flat kernel's bitwise-equivalence
-/// property tests; production call sites use MergeFronts.
-IndexedFront MergeFrontsNaive(const IndexedFront& a, const IndexedFront& b,
-                              std::vector<std::pair<size_t, size_t>>* combo_out);
+std::vector<ObjectiveVector> MergeFrontsNaive(
+    const std::vector<ObjectiveVector>& a,
+    const std::vector<ObjectiveVector>& b, std::vector<MergePair>* pairs);
 
 }  // namespace sparkopt

@@ -57,22 +57,6 @@ void FlatParetoPositions(const double* x, const double* y, size_t n,
   std::sort(kept->begin(), kept->end());
 }
 
-void FlatPareto2(Front2* front, ParetoScratch* scratch) {
-  FlatParetoPositions(front->x.data(), front->y.data(), front->size(),
-                      &scratch->kept, scratch);
-  const std::vector<uint32_t>& keep = scratch->kept;
-  if (keep.size() == front->size()) return;
-  for (size_t p = 0; p < keep.size(); ++p) {
-    const uint32_t src = keep[p];
-    front->x[p] = front->x[src];
-    front->y[p] = front->y[src];
-    front->payload[p] = front->payload[src];
-  }
-  front->x.resize(keep.size());
-  front->y.resize(keep.size());
-  front->payload.resize(keep.size());
-}
-
 namespace {
 
 // Min-heap on sum-x. std::push_heap builds a max-heap, so the
@@ -366,24 +350,6 @@ void FlatParetoPositions3(const double* x, const double* y, const double* z,
   std::sort(kept->begin(), kept->end());
 }
 
-void FlatPareto3(Front3* front, ParetoScratch* scratch) {
-  FlatParetoPositions3(front->x.data(), front->y.data(), front->z.data(),
-                       front->size(), &scratch->kept, scratch);
-  const std::vector<uint32_t>& keep = scratch->kept;
-  if (keep.size() == front->size()) return;
-  for (size_t p = 0; p < keep.size(); ++p) {
-    const uint32_t src = keep[p];
-    front->x[p] = front->x[src];
-    front->y[p] = front->y[src];
-    front->z[p] = front->z[src];
-    front->payload[p] = front->payload[src];
-  }
-  front->x.resize(keep.size());
-  front->y.resize(keep.size());
-  front->z.resize(keep.size());
-  front->payload.resize(keep.size());
-}
-
 namespace {
 
 struct Cell3Greater {
@@ -512,48 +478,6 @@ void FlatMerge3(const Front3& a, const Front3& b, Front3* out,
   }
   obs::Observe("pareto.merge_in_points", static_cast<double>(an + bn));
   obs::Observe("pareto.merge_out_points", static_cast<double>(out->size()));
-}
-
-double FlatHypervolume3(const double* x, const double* y, const double* z,
-                        size_t n, double ref_x, double ref_y, double ref_z,
-                        ParetoScratch* scratch) {
-  if (n == 0) return 0.0;
-  // Slab sweep mirroring the recursive Hypervolume term for term: sort
-  // by z (position ties — tied slabs have depth 0 and contribute
-  // nothing, so the tie order cannot change the sum), and for each slab
-  // accumulate depth * area of the 2-D staircase of every point at or
-  // below it. The 2-D kernel re-sorts internally, so passing the prefix
-  // in z order yields the same area Hypervolume2D computes.
-  auto& order = scratch->order;
-  order.resize(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t i, uint32_t j) {
-    if (z[i] != z[j]) return z[i] < z[j];
-    return i < j;
-  });
-  auto& hx = scratch->ax;
-  auto& hy = scratch->ay;
-  auto& hz = scratch->az;
-  hx.resize(n);
-  hy.resize(n);
-  hz.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t src = order[i];
-    hx[i] = x[src];
-    hy[i] = y[src];
-    hz[i] = z[src];
-  }
-  double hv = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double z_lo = hz[i];
-    if (z_lo >= ref_z) break;
-    const double z_hi = (i + 1 < n) ? std::min(hz[i + 1], ref_z) : ref_z;
-    const double depth = z_hi - z_lo;
-    if (depth <= 0) continue;
-    hv += depth *
-          FlatHypervolume2(hx.data(), hy.data(), i + 1, ref_x, ref_y, scratch);
-  }
-  return hv;
 }
 
 bool ParetoInsert3(Front3* front, double px, double py, double pz, size_t id) {

@@ -10,9 +10,9 @@
 ///
 /// Every MOO solver in this repo bottoms out in three operations —
 /// non-dominated filtering, Minkowski-sum merging (HMOOC1's
-/// divide-and-conquer DAG aggregation, Algorithm 3), and hypervolume —
-/// and the AoS `ObjectiveVector` representation pays one heap allocation
-/// per point for each of them. This kernel keeps a front as three
+/// divide-and-conquer DAG aggregation, Algorithm 3), and the incremental
+/// archive — and the AoS `ObjectiveVector` representation pays one heap
+/// allocation per point for each of them. This kernel keeps a front as three
 /// contiguous arrays (x, y, payload), reuses caller-owned scratch
 /// buffers, and never materializes the |a| x |b| cross product of a
 /// merge.
@@ -22,9 +22,10 @@
 /// exact duplicates of a non-dominated point are all kept — and every
 /// operation preserves the caller's point order (for the merge: the
 /// cross-product order i * |b| + j). These are exactly the semantics of
-/// the naive `ParetoIndices` / `MergeFronts` path, so the two paths
-/// produce bitwise-identical fronts; `tests/common/pareto_flat_test.cc`
-/// pins the equivalence property.
+/// the quadratic dominance filter and of the materializing oracle
+/// `MergeFrontsNaive`, so the kernel produces bitwise-identical fronts;
+/// `tests/common/pareto_flat_test.cc` and `pareto_flat3_test.cc` pin the
+/// equivalence property.
 
 namespace sparkopt {
 
@@ -96,6 +97,8 @@ struct Front3 {
 struct MergePair {
   uint32_t i = 0;  ///< position in front `a`
   uint32_t j = 0;  ///< position in front `b`
+
+  friend bool operator==(const MergePair&, const MergePair&) = default;
 };
 
 /// \brief Reusable scratch for the kernel. Create one per thread (or per
@@ -151,10 +154,6 @@ struct ParetoScratch {
 void FlatParetoPositions(const double* x, const double* y, size_t n,
                          std::vector<uint32_t>* kept, ParetoScratch* scratch);
 
-/// \brief Filters `*front` in place to its non-dominated multiset
-/// (points and payloads compacted consistently, input order preserved).
-void FlatPareto2(Front2* front, ParetoScratch* scratch);
-
 /// \brief Output-sensitive Minkowski-sum merge (Algorithm 3 without the
 /// cross product).
 ///
@@ -201,8 +200,7 @@ bool ParetoInsert(Front2* front, double px, double py, size_t id);
 // Each is the exact 3-objective sibling of the 2-D operation above, with
 // the same semantics contract: non-dominated *multiset* (exact
 // duplicates kept), stable caller order, bitwise-identical points to the
-// naive formulations (`ParetoIndices`' k-D sweep, `MergeFrontsNaive`,
-// the recursive `Hypervolume`). The sweep replaces the 2-D running-min
+// quadratic filter and `MergeFrontsNaive`. The sweep replaces the 2-D running-min
 // with a (y, z) minima staircase: after sorting by (x, y, z, position),
 // a point is dominated iff some *kept* lexicographically earlier point
 // has y' <= y and z' <= z (x' <= x is implied by the sort, and any
@@ -217,9 +215,6 @@ bool ParetoInsert(Front2* front, double px, double py, size_t id);
 void FlatParetoPositions3(const double* x, const double* y, const double* z,
                           size_t n, std::vector<uint32_t>* kept,
                           ParetoScratch* scratch);
-
-/// \brief Filters `*front` in place to its non-dominated multiset.
-void FlatPareto3(Front3* front, ParetoScratch* scratch);
 
 /// \brief Output-sensitive 3-D Minkowski-sum merge.
 ///
@@ -240,17 +235,6 @@ void FlatPareto3(Front3* front, ParetoScratch* scratch);
 /// the staircase pruning for front-shaped inputs.
 void FlatMerge3(const Front3& a, const Front3& b, Front3* out,
                 ParetoScratch* scratch);
-
-/// \brief Exact 3-D hypervolume dominated by {(x, y, z)} and bounded by
-/// (ref_x, ref_y, ref_z): a z-sorted sweep of slabs, each contributing
-/// depth * 2-D staircase area of the points above it. Accepts any point
-/// multiset; bitwise identical to the recursive `Hypervolume` slicing on
-/// the same input (term order and expressions preserved). O(n^2 log n),
-/// scratch-buffered — fine for the tens-to-hundreds-point fronts this
-/// project produces.
-double FlatHypervolume3(const double* x, const double* y, const double* z,
-                        size_t n, double ref_x, double ref_y, double ref_z,
-                        ParetoScratch* scratch);
 
 /// \brief Incrementally inserts (px, py, pz, id) into `*front`, which
 /// must be (and stays) sorted by (x, y, z) ascending.

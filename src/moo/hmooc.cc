@@ -26,6 +26,11 @@ const char* DagAggregationName(DagAggregation a) {
 
 namespace {
 
+// HMOOC1 only: cap on each intermediate divide-and-conquer front. When a
+// merged front exceeds the cap it is thinned to evenly spaced points,
+// keeping the extremes (DagAggregator::Thin).
+constexpr size_t kDcFrontCap = 192;
+
 std::vector<double> MakeConf(const std::vector<double>& theta_c,
                              const std::vector<double>& theta_ps) {
   static const std::vector<double> kDefault = DefaultSparkConfig();
@@ -227,9 +232,7 @@ MooRunResult HmoocSolver::Solve() const {
                                         &per_cand[c]);
         break;
       case DagAggregation::kDivideAndConquer:
-        aggregator.AggregateDc(
-            eff[c], nk, static_cast<size_t>(std::max(opts_.dc_front_cap, 0)),
-            &per_cand[c]);
+        aggregator.AggregateDc(eff[c], nk, kDcFrontCap, &per_cand[c]);
         break;
     }
   });

@@ -47,10 +47,6 @@ struct HmoocOptions {
   /// predictions at the domain extremes do not mislead the optimizer.
   double search_margin = 0.08;
   DagAggregation aggregation = DagAggregation::kBoundary;
-  /// HMOOC1 only: cap on each intermediate divide-and-conquer front. When
-  /// a merged front exceeds the cap it is thinned to the points closest
-  /// to the weighted utopia, keeping the extremes (see ThinFront).
-  int dc_front_cap = 192;
   int ws_pairs = 11;           ///< weight pairs for HMOOC2
   /// HMOOC2 only: normalize objectives per subQ before the weighted pick
   /// (Algorithm 4, line 5). Normalization spreads the weight sweep more

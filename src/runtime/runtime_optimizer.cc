@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/pareto_flat.h"
+#include "common/pareto.h"
 #include "common/rng.h"
 #include "obs/trace.h"
 #include "params/sampler.h"
@@ -72,30 +72,14 @@ size_t PickWeighted(const std::vector<SubQObjectives>& cands,
   // kernel reports as dominated means the scoring and the dominance
   // machinery disagree.
   if (best != 0 && w[0] > 0.0 && w[1] > 0.0 && (!use_io || w[2] > 0.0)) {
-    ParetoScratch scratch;
-    scratch.ax.resize(cands.size());
-    scratch.ay.resize(cands.size());
+    std::vector<ObjectiveVector> pts(cands.size());
     for (size_t i = 0; i < cands.size(); ++i) {
-      scratch.ax[i] = cands[i].analytical_latency;
-      scratch.ay[i] = cands[i].cost;
+      pts[i] = {cands[i].analytical_latency, cands[i].cost};
+      if (use_io) pts[i].push_back(cands[i].io_bytes / 1e9);
     }
-    if (use_io) {
-      scratch.az.resize(cands.size());
-      for (size_t i = 0; i < cands.size(); ++i) {
-        scratch.az[i] = cands[i].io_bytes / 1e9;
-      }
-      // FlatParetoPositions3 only consumes scratch.order/sy/sz, so the
-      // ax/ay/az staging above can double as its input buffers.
-      FlatParetoPositions3(scratch.ax.data(), scratch.ay.data(),
-                           scratch.az.data(), cands.size(), &scratch.kept,
-                           &scratch);
-    } else {
-      FlatParetoPositions(scratch.ax.data(), scratch.ay.data(),
-                          cands.size(), &scratch.kept, &scratch);
-    }
+    const std::vector<size_t> kept = ParetoIndices(pts);
     const bool non_dominated =
-        std::find(scratch.kept.begin(), scratch.kept.end(),
-                  static_cast<uint32_t>(best)) != scratch.kept.end();
+        std::find(kept.begin(), kept.end(), best) != kept.end();
     SPARKOPT_CHECK(non_dominated)
         << "PickWeighted adopted dominated candidate " << best;
   }

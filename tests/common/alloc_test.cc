@@ -133,23 +133,6 @@ TEST(SteadyStateAllocTest, Positions3IsAllocationFreeAfterWarmup) {
   EXPECT_EQ(scratch.kept.size(), a.size());
 }
 
-TEST(SteadyStateAllocTest, Hypervolume3IsAllocationFreeAfterWarmup) {
-  ParetoScratch scratch;
-  const Front3 a = Staircase3(128, 1.0, 200.0, 13);
-  double hv = 0.0;
-  for (int r = 0; r < 2; ++r) {
-    hv = FlatHypervolume3(a.x.data(), a.y.data(), a.z.data(), a.size(),
-                          1e4, 1e4, 1e4, &scratch);
-  }
-  AllocProbe probe;
-  for (int r = 0; r < 16; ++r) {
-    hv = FlatHypervolume3(a.x.data(), a.y.data(), a.z.data(), a.size(),
-                          1e4, 1e4, 1e4, &scratch);
-  }
-  EXPECT_EQ(probe.allocations(), 0u);
-  EXPECT_GT(hv, 0.0);
-}
-
 std::vector<std::vector<SubQEntry>> MakeSets(int m, int per_set, int k) {
   std::vector<std::vector<SubQEntry>> sets(m);
   for (int i = 0; i < m; ++i) {

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,7 +10,7 @@
 
 // Property suite for the k = 3 flat Pareto kernel, mirroring
 // pareto_flat_test.cc: every primitive must be bitwise identical — same
-// points, same payloads, same stable order — to the naive formulation.
+// points, same positions, same stable order — to the naive formulation.
 // Random fronts are drawn with floored coordinates so duplicate points
 // and ties occur constantly.
 
@@ -41,52 +40,13 @@ std::vector<size_t> ReferenceKept(const std::vector<ObjectiveVector>& pts) {
   return kept;
 }
 
-// The recursive slicing hypervolume, kept verbatim from common/pareto.cc
-// as the bitwise oracle for FlatHypervolume3.
-double ReferenceHvRecursive(std::vector<ObjectiveVector> pts,
-                            const ObjectiveVector& ref) {
-  const size_t k = ref.size();
-  if (pts.empty()) return 0.0;
-  if (k == 2) return Hypervolume2D(pts, ref);
-  std::sort(pts.begin(), pts.end(),
-            [k](const ObjectiveVector& a, const ObjectiveVector& b) {
-              return a[k - 1] < b[k - 1];
-            });
-  double hv = 0.0;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    const double z_lo = pts[i][k - 1];
-    if (z_lo >= ref[k - 1]) break;
-    const double z_hi = (i + 1 < pts.size())
-                            ? std::min(pts[i + 1][k - 1], ref[k - 1])
-                            : ref[k - 1];
-    const double depth = z_hi - z_lo;
-    if (depth <= 0) continue;
-    std::vector<ObjectiveVector> proj;
-    ObjectiveVector sub_ref(ref.begin(), ref.end() - 1);
-    for (size_t j = 0; j <= i; ++j) {
-      proj.emplace_back(pts[j].begin(), pts[j].end() - 1);
-    }
-    hv += depth * ReferenceHvRecursive(std::move(proj), sub_ref);
-  }
-  return hv;
-}
-
-IndexedFront MakeFront(std::vector<ObjectiveVector> pts, bool with_payloads,
-                       size_t payload_base) {
-  IndexedFront f;
-  f.points = std::move(pts);
-  if (with_payloads) {
-    for (size_t i = 0; i < f.points.size(); ++i) {
-      f.payloads.push_back(payload_base + i);
-    }
-  }
-  return f;
-}
-
-Front3 ToFront3(const std::vector<ObjectiveVector>& pts) {
+// Payload i is `payload_base + i`, so a merge that reported payloads
+// instead of positions in its MergePairs would fail the pair checks.
+Front3 ToFront3(const std::vector<ObjectiveVector>& pts,
+                size_t payload_base = 0) {
   Front3 f;
   for (size_t i = 0; i < pts.size(); ++i) {
-    f.Append(pts[i][0], pts[i][1], pts[i][2], i);
+    f.Append(pts[i][0], pts[i][1], pts[i][2], payload_base + i);
   }
   return f;
 }
@@ -109,27 +69,8 @@ TEST_P(FlatKernel3PropertyTest, ParetoPositionsMatchReference) {
     FlatParetoPositions3(x.data(), y.data(), z.data(), n, &kept, &scratch);
     const std::vector<size_t> got(kept.begin(), kept.end());
     EXPECT_EQ(got, ReferenceKept(pts)) << "seed " << GetParam();
-    // The shim must route k = 3 to the same answer.
+    // ParetoIndices must route k = 3 to the same answer.
     EXPECT_EQ(ParetoIndices(pts), ReferenceKept(pts));
-  }
-}
-
-TEST_P(FlatKernel3PropertyTest, FlatPareto3CompactsInPlace) {
-  Rng rng(GetParam());
-  ParetoScratch scratch;
-  for (int round = 0; round < 10; ++round) {
-    const auto pts =
-        RandomPoints3(&rng, 1 + rng.NextBounded(40), round % 2 == 0);
-    Front3 front = ToFront3(pts);
-    FlatPareto3(&front, &scratch);
-    const auto ref = ReferenceKept(pts);
-    ASSERT_EQ(front.size(), ref.size()) << "seed " << GetParam();
-    for (size_t p = 0; p < ref.size(); ++p) {
-      EXPECT_EQ(front.payload[p], ref[p]);
-      EXPECT_EQ(front.x[p], pts[ref[p]][0]);
-      EXPECT_EQ(front.y[p], pts[ref[p]][1]);
-      EXPECT_EQ(front.z[p], pts[ref[p]][2]);
-    }
   }
 }
 
@@ -168,79 +109,52 @@ TEST_P(FlatKernel3PropertyTest, MergeMatchesMaterializedProduct) {
   }
 }
 
-// MergeFronts (k = 3 flat path) vs MergeFrontsNaive, with a pre-populated
-// combination table to pin the append contract — the k = 3 sibling of
-// MergeMatchesNaiveBitwise.
+// FlatMerge3 vs MergeFrontsNaive: identical sums, cross-product order
+// and (i, j) positions — the k = 3 sibling of MergeMatchesNaiveBitwise.
 TEST_P(FlatKernel3PropertyTest, MergeFrontsMatchesNaiveBitwise) {
   Rng rng(GetParam());
+  ParetoScratch scratch;
   for (int round = 0; round < 12; ++round) {
     const bool ties = round % 2 == 0;
-    const bool with_payloads = round % 3 != 0;
-    const auto a =
-        MakeFront(RandomPoints3(&rng, 1 + rng.NextBounded(14), ties),
-                  with_payloads, 100);
-    const auto b =
-        MakeFront(RandomPoints3(&rng, 1 + rng.NextBounded(14), ties),
-                  with_payloads, 500);
+    const auto pa = RandomPoints3(&rng, 1 + rng.NextBounded(14), ties);
+    const auto pb = RandomPoints3(&rng, 1 + rng.NextBounded(14), ties);
+    const Front3 a = ToFront3(pa, 100), b = ToFront3(pb, 500);
+    Front3 out;
+    FlatMerge3(a, b, &out, &scratch);
+    std::vector<MergePair> naive_pairs;
+    const auto naive = MergeFrontsNaive(pa, pb, &naive_pairs);
 
-    std::vector<std::pair<size_t, size_t>> combos_flat(3, {9, 9});
-    std::vector<std::pair<size_t, size_t>> combos_naive(3, {9, 9});
-    const auto flat = MergeFronts(a, b, &combos_flat);
-    const auto naive = MergeFrontsNaive(a, b, &combos_naive);
-
-    EXPECT_EQ(flat.points, naive.points) << "seed " << GetParam();
-    EXPECT_EQ(flat.payloads, naive.payloads);
-    EXPECT_EQ(combos_flat, combos_naive);
-    ASSERT_EQ(combos_flat.size(), 3 + flat.size());
-    for (size_t p = 0; p < flat.size(); ++p) {
-      EXPECT_EQ(flat.payloads[p], 3 + p);
+    ASSERT_EQ(out.size(), naive.size()) << "seed " << GetParam();
+    for (size_t p = 0; p < naive.size(); ++p) {
+      EXPECT_EQ(out.x[p], naive[p][0]) << "seed " << GetParam();
+      EXPECT_EQ(out.y[p], naive[p][1]);
+      EXPECT_EQ(out.z[p], naive[p][2]);
+      EXPECT_EQ(out.payload[p], p);
     }
+    EXPECT_EQ(scratch.pairs, naive_pairs);
   }
 }
 
-// Chained k = 3 merges over one combination table.
+// Chained k = 3 merges: every final survivor resolves through both pair
+// lists to its three source points.
 TEST_P(FlatKernel3PropertyTest, ChainedMergesShareComboTable) {
   Rng rng(GetParam());
-  auto f1 = MakeFront(RandomPoints3(&rng, 6, true), /*with_payloads=*/false, 0);
-  auto f2 = MakeFront(RandomPoints3(&rng, 7, true), false, 0);
-  auto f3 = MakeFront(RandomPoints3(&rng, 5, true), false, 0);
+  const Front3 f1 = ToFront3(RandomPoints3(&rng, 6, true));
+  const Front3 f2 = ToFront3(RandomPoints3(&rng, 7, true));
+  const Front3 f3 = ToFront3(RandomPoints3(&rng, 5, true));
 
-  std::vector<std::pair<size_t, size_t>> table;
-  const auto m12 = MergeFronts(f1, f2, &table);
-  const size_t base = table.size();
-  const auto m123 = MergeFronts(m12, f3, &table);
-  ASSERT_EQ(table.size(), base + m123.size());
-  for (size_t p = 0; p < m123.size(); ++p) {
-    const auto [left, right] = table[m123.payloads[p]];
-    const auto [i1, i2] = table[left];
-    for (int d = 0; d < 3; ++d) {
-      const double v =
-          f1.points[i1][d] + f2.points[i2][d] + f3.points[right][d];
-      EXPECT_EQ(m123.points[p][d], v);
-    }
-  }
-}
-
-TEST_P(FlatKernel3PropertyTest, HypervolumeMatchesRecursiveBitwise) {
-  Rng rng(GetParam());
   ParetoScratch scratch;
-  for (int round = 0; round < 20; ++round) {
-    const int n = static_cast<int>(rng.NextBounded(24));
-    const auto pts = RandomPoints3(&rng, n, round % 2 == 0);
-    const ObjectiveVector ref = {rng.Uniform(4, 10), rng.Uniform(4, 10),
-                                 rng.Uniform(4, 10)};
-    std::vector<double> x(n), y(n), z(n);
-    for (int i = 0; i < n; ++i) {
-      x[i] = pts[i][0];
-      y[i] = pts[i][1];
-      z[i] = pts[i][2];
-    }
-    // EXPECT_EQ, not NEAR: same terms in the same order.
-    const double flat = FlatHypervolume3(x.data(), y.data(), z.data(), n,
-                                         ref[0], ref[1], ref[2], &scratch);
-    EXPECT_EQ(flat, ReferenceHvRecursive(pts, ref)) << "seed " << GetParam();
-    // The k-generic shim must agree too.
-    EXPECT_EQ(Hypervolume(pts, ref), ReferenceHvRecursive(pts, ref));
+  Front3 m12, m123;
+  FlatMerge3(f1, f2, &m12, &scratch);
+  const std::vector<MergePair> pairs12 = scratch.pairs;
+  FlatMerge3(m12, f3, &m123, &scratch);
+  ASSERT_EQ(scratch.pairs.size(), m123.size());
+  for (size_t p = 0; p < m123.size(); ++p) {
+    const MergePair outer = scratch.pairs[p];
+    const MergePair inner = pairs12[outer.i];
+    EXPECT_EQ(m123.x[p], f1.x[inner.i] + f2.x[inner.j] + f3.x[outer.j]);
+    EXPECT_EQ(m123.y[p], f1.y[inner.i] + f2.y[inner.j] + f3.y[outer.j]);
+    EXPECT_EQ(m123.z[p], f1.z[inner.i] + f2.z[inner.j] + f3.z[outer.j]);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,7 +10,7 @@
 #include "common/rng.h"
 
 // Property suite for the flat Pareto kernel: every primitive must be
-// bitwise identical — same points, same payloads, same stable order — to
+// bitwise identical — same points, same positions, same stable order — to
 // the naive AoS formulation it replaced. Random fronts are drawn with
 // floored coordinates so duplicate points and ties occur constantly.
 
@@ -63,14 +62,12 @@ double ReferenceHypervolume(const std::vector<ObjectiveVector>& front,
   return hv;
 }
 
-IndexedFront MakeFront(std::vector<ObjectiveVector> pts, bool with_payloads,
-                       size_t payload_base) {
-  IndexedFront f;
-  f.points = std::move(pts);
-  if (with_payloads) {
-    for (size_t i = 0; i < f.points.size(); ++i) {
-      f.payloads.push_back(payload_base + i);
-    }
+// Payload i is `payload_base + i`, so a merge that reported payloads
+// instead of positions in its MergePairs would fail the pair checks.
+Front2 ToFront2(const std::vector<ObjectiveVector>& pts, size_t payload_base) {
+  Front2 f;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    f.Append(pts[i][0], pts[i][1], payload_base + i);
   }
   return f;
 }
@@ -92,39 +89,33 @@ TEST_P(FlatKernelPropertyTest, ParetoPositionsMatchReference) {
     FlatParetoPositions(x.data(), y.data(), n, &kept, &scratch);
     const std::vector<size_t> got(kept.begin(), kept.end());
     EXPECT_EQ(got, ReferenceKept(pts)) << "seed " << GetParam();
-    // The shim must agree too.
+    // ParetoIndices must agree too.
     EXPECT_EQ(ParetoIndices(pts), ReferenceKept(pts));
   }
 }
 
-// MergeFronts (flat path) vs MergeFrontsNaive: identical points, payloads,
-// combos, and order — with and without caller payloads, against a
-// pre-populated combination table to pin the append contract.
+// FlatMerge2 vs MergeFrontsNaive: identical sums, cross-product order
+// and (i, j) positions; out->payload numbers the survivors.
 TEST_P(FlatKernelPropertyTest, MergeMatchesNaiveBitwise) {
   Rng rng(GetParam());
+  ParetoScratch scratch;
   for (int round = 0; round < 12; ++round) {
     const bool ties = round % 2 == 0;
-    const bool with_payloads = round % 3 != 0;
-    const auto a =
-        MakeFront(RandomPoints(&rng, 1 + rng.NextBounded(18), ties),
-                  with_payloads, 100);
-    const auto b =
-        MakeFront(RandomPoints(&rng, 1 + rng.NextBounded(18), ties),
-                  with_payloads, 500);
+    const auto pa = RandomPoints(&rng, 1 + rng.NextBounded(18), ties);
+    const auto pb = RandomPoints(&rng, 1 + rng.NextBounded(18), ties);
+    const Front2 a = ToFront2(pa, 100), b = ToFront2(pb, 500);
+    Front2 out;
+    FlatMerge2(a, b, &out, &scratch);
+    std::vector<MergePair> naive_pairs;
+    const auto naive = MergeFrontsNaive(pa, pb, &naive_pairs);
 
-    std::vector<std::pair<size_t, size_t>> combos_flat(3, {9, 9});
-    std::vector<std::pair<size_t, size_t>> combos_naive(3, {9, 9});
-    const auto flat = MergeFronts(a, b, &combos_flat);
-    const auto naive = MergeFrontsNaive(a, b, &combos_naive);
-
-    EXPECT_EQ(flat.points, naive.points) << "seed " << GetParam();
-    EXPECT_EQ(flat.payloads, naive.payloads);
-    EXPECT_EQ(combos_flat, combos_naive);
-    // Payloads index the grown table: pre-existing rows untouched.
-    ASSERT_EQ(combos_flat.size(), 3 + flat.size());
-    for (size_t p = 0; p < flat.size(); ++p) {
-      EXPECT_EQ(flat.payloads[p], 3 + p);
+    ASSERT_EQ(out.size(), naive.size()) << "seed " << GetParam();
+    for (size_t p = 0; p < naive.size(); ++p) {
+      EXPECT_EQ(out.x[p], naive[p][0]) << "seed " << GetParam();
+      EXPECT_EQ(out.y[p], naive[p][1]);
+      EXPECT_EQ(out.payload[p], p);
     }
+    EXPECT_EQ(scratch.pairs, naive_pairs);
   }
 }
 
@@ -164,43 +155,38 @@ TEST_P(FlatKernelPropertyTest, ParetoInsertMatchesBatchFilter) {
   }
 }
 
-// k-D fallback (ParetoKD) against the quadratic reference.
+// The k = 3 route of ParetoIndices against the quadratic reference.
 TEST_P(FlatKernelPropertyTest, KdFallbackMatchesReference) {
   Rng rng(GetParam());
-  for (size_t k : {3, 4, 5}) {
-    std::vector<ObjectiveVector> pts(30, ObjectiveVector(k));
-    for (auto& p : pts) {
-      for (auto& v : p) v = std::floor(rng.Uniform(0, 6));
-    }
-    EXPECT_EQ(ParetoIndices(pts), ReferenceKept(pts)) << "k=" << k;
+  std::vector<ObjectiveVector> pts(30, ObjectiveVector(3));
+  for (auto& p : pts) {
+    for (auto& v : p) v = std::floor(rng.Uniform(0, 6));
   }
+  EXPECT_EQ(ParetoIndices(pts), ReferenceKept(pts));
 }
 
-// k = 3 takes the naive merge path; its contract must match the flat one.
+// FlatMerge3's pairs are positions, not the inputs' payloads, and each
+// survivor is the sum of the two points they name.
 TEST_P(FlatKernelPropertyTest, ThreeObjectiveMergeContract) {
   Rng rng(GetParam());
-  IndexedFront a, b;
+  Front3 a, b, merged;
   for (int i = 0; i < 8; ++i) {
-    a.points.push_back({std::floor(rng.Uniform(0, 6)),
-                        std::floor(rng.Uniform(0, 6)),
-                        std::floor(rng.Uniform(0, 6))});
-    a.payloads.push_back(10 + i);
-    b.points.push_back({std::floor(rng.Uniform(0, 6)),
-                        std::floor(rng.Uniform(0, 6)),
-                        std::floor(rng.Uniform(0, 6))});
-    b.payloads.push_back(20 + i);
+    a.Append(std::floor(rng.Uniform(0, 6)), std::floor(rng.Uniform(0, 6)),
+             std::floor(rng.Uniform(0, 6)), 10 + i);
+    b.Append(std::floor(rng.Uniform(0, 6)), std::floor(rng.Uniform(0, 6)),
+             std::floor(rng.Uniform(0, 6)), 20 + i);
   }
-  std::vector<std::pair<size_t, size_t>> combos(2, {7, 7});
-  const auto merged = MergeFronts(a, b, &combos);
-  ASSERT_EQ(combos.size(), 2 + merged.size());
+  ParetoScratch scratch;
+  FlatMerge3(a, b, &merged, &scratch);
+  ASSERT_EQ(scratch.pairs.size(), merged.size());
   for (size_t p = 0; p < merged.size(); ++p) {
-    EXPECT_EQ(merged.payloads[p], 2 + p);
-    const auto [pi, pj] = combos[merged.payloads[p]];
-    const auto& pa = a.points[pi - 10];
-    const auto& pb = b.points[pj - 20];
-    for (int d = 0; d < 3; ++d) {
-      EXPECT_EQ(merged.points[p][d], pa[d] + pb[d]);
-    }
+    EXPECT_EQ(merged.payload[p], p);
+    const auto [pi, pj] = scratch.pairs[p];
+    ASSERT_LT(pi, a.size());
+    ASSERT_LT(pj, b.size());
+    EXPECT_EQ(merged.x[p], a.x[pi] + b.x[pj]);
+    EXPECT_EQ(merged.y[p], a.y[pi] + b.y[pj]);
+    EXPECT_EQ(merged.z[p], a.z[pi] + b.z[pj]);
   }
 }
 
@@ -228,10 +214,6 @@ TEST(FlatMergeTest, EmptyAndSingletonFronts) {
   ASSERT_EQ(scratch.pairs.size(), 1u);
   EXPECT_EQ(scratch.pairs[0].i, 0u);
   EXPECT_EQ(scratch.pairs[0].j, 0u);
-
-  const IndexedFront ia, ib;
-  auto merged = MergeFronts(ia, ib, nullptr);
-  EXPECT_TRUE(merged.empty());
 }
 
 TEST(FlatMergeTest, CrossProductOrderAndAlignedPairs) {
@@ -252,27 +234,28 @@ TEST(FlatMergeTest, CrossProductOrderAndAlignedPairs) {
   EXPECT_EQ(scratch.pairs[1].j, 0u);
 }
 
-// Chained merges over one combination table: each merge appends its
-// survivors' rows, and payloads keep resolving to the right row.
+// Chained merges, as DagAggregator runs them: the first merge's pairs
+// are copied out before the second reuses the scratch, and every final
+// survivor resolves through both pair lists to its three source points.
 TEST(MergeFrontsTest, ChainedMergesShareComboTable) {
   Rng rng(4242);
-  auto f1 = MakeFront(RandomPoints(&rng, 6, true), /*with_payloads=*/false, 0);
-  auto f2 = MakeFront(RandomPoints(&rng, 7, true), false, 0);
-  auto f3 = MakeFront(RandomPoints(&rng, 5, true), false, 0);
+  const Front2 f1 = ToFront2(RandomPoints(&rng, 6, true), 0);
+  const Front2 f2 = ToFront2(RandomPoints(&rng, 7, true), 0);
+  const Front2 f3 = ToFront2(RandomPoints(&rng, 5, true), 0);
 
-  std::vector<std::pair<size_t, size_t>> table;
-  const auto m12 = MergeFronts(f1, f2, &table);
-  const size_t base = table.size();
-  const auto m123 = MergeFronts(m12, f3, &table);
-  ASSERT_EQ(table.size(), base + m123.size());
+  ParetoScratch scratch;
+  Front2 m12, m123;
+  FlatMerge2(f1, f2, &m12, &scratch);
+  const std::vector<MergePair> pairs12 = scratch.pairs;
+  FlatMerge2(m12, f3, &m123, &scratch);
+  ASSERT_EQ(scratch.pairs.size(), m123.size());
   for (size_t p = 0; p < m123.size(); ++p) {
-    const auto [left, right] = table[m123.payloads[p]];
-    // `left` is an m12 payload — resolve it through the table again.
-    const auto [i1, i2] = table[left];
-    const double x = f1.points[i1][0] + f2.points[i2][0] + f3.points[right][0];
-    const double y = f1.points[i1][1] + f2.points[i2][1] + f3.points[right][1];
-    EXPECT_EQ(m123.points[p][0], x);
-    EXPECT_EQ(m123.points[p][1], y);
+    const MergePair outer = scratch.pairs[p];
+    const MergePair inner = pairs12[outer.i];
+    const double x = f1.x[inner.i] + f2.x[inner.j] + f3.x[outer.j];
+    const double y = f1.y[inner.i] + f2.y[inner.j] + f3.y[outer.j];
+    EXPECT_EQ(m123.x[p], x);
+    EXPECT_EQ(m123.y[p], y);
   }
 }
 

@@ -138,17 +138,6 @@ TEST(Hypervolume2DTest, MorePointsNeverReduceVolume) {
   }
 }
 
-TEST(HypervolumeTest, ThreeDBox) {
-  // One point at origin of a unit cube from ref (1,1,1).
-  EXPECT_NEAR(Hypervolume({{0, 0, 0}}, {1, 1, 1}), 1.0, 1e-12);
-}
-
-TEST(HypervolumeTest, ThreeDTwoDisjointContributions) {
-  const double hv = Hypervolume({{0, 0.5, 0.5}, {0.5, 0, 0}}, {1, 1, 1});
-  // Union of two boxes: 1*0.5*0.5 + 0.5*1*1 - overlap 0.5*0.5*0.5.
-  EXPECT_NEAR(hv, 0.25 + 0.5 - 0.125, 1e-9);
-}
-
 TEST(WunTest, PrefersLatencyWithLatencyHeavyWeights) {
   // Front: fast-expensive vs slow-cheap.
   std::vector<ObjectiveVector> front = {{1.0, 10.0}, {10.0, 1.0}};
@@ -170,25 +159,17 @@ TEST(WunTest, SinglePointAlwaysChosen) {
   EXPECT_EQ(WeightedUtopiaNearest({{5, 5}}, {0.9, 0.1}), 0u);
 }
 
-TEST(FilterDominatedTest, PayloadsFollowPoints) {
-  IndexedFront f;
-  f.points = {{1, 5}, {2, 3}, {3, 4}, {4, 1}};
-  f.payloads = {10, 20, 30, 40};
-  auto out = FilterDominated(std::move(f));
-  ASSERT_EQ(out.points.size(), 3u);
-  EXPECT_EQ(out.payloads, (std::vector<size_t>{10, 20, 40}));
-}
-
 TEST(MergeFrontsTest, SumsObjectives) {
-  IndexedFront a, b;
-  a.points = {{1, 2}};
-  b.points = {{10, 20}};
-  std::vector<std::pair<size_t, size_t>> combos;
-  auto merged = MergeFronts(a, b, &combos);
-  ASSERT_EQ(merged.points.size(), 1u);
-  EXPECT_EQ(merged.points[0], (ObjectiveVector{11, 22}));
-  ASSERT_EQ(combos.size(), 1u);
-  EXPECT_EQ(combos[0], (std::pair<size_t, size_t>{0, 0}));
+  Front2 a, b, out;
+  a.Append(1, 2, 0);
+  b.Append(10, 20, 0);
+  ParetoScratch scratch;
+  FlatMerge2(a, b, &out, &scratch);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.x[0], 11.0);
+  EXPECT_EQ(out.y[0], 22.0);
+  ASSERT_EQ(scratch.pairs.size(), 1u);
+  EXPECT_EQ(scratch.pairs[0], (MergePair{0, 0}));
 }
 
 // Property (Proposition B.1): Pf(Pf(F) ⊕ Pf(G)) == Pf(F x G). Merging the
@@ -220,11 +201,15 @@ TEST_P(MinkowskiLawTest, MergeOfFrontsEqualsFrontOfProduct) {
   rhs.erase(std::unique(rhs.begin(), rhs.end()), rhs.end());
 
   // Left side: merge of the two children's fronts.
-  IndexedFront fa, fb;
-  fa.points = ParetoFilter(f);
-  fb.points = ParetoFilter(g);
-  auto merged = MergeFronts(fa, fb, nullptr);
-  auto lhs = merged.points;
+  Front2 fa, fb, merged;
+  for (const auto& p : ParetoFilter(f)) fa.Append(p[0], p[1], 0);
+  for (const auto& p : ParetoFilter(g)) fb.Append(p[0], p[1], 0);
+  ParetoScratch scratch;
+  FlatMerge2(fa, fb, &merged, &scratch);
+  std::vector<ObjectiveVector> lhs;
+  for (size_t p = 0; p < merged.size(); ++p) {
+    lhs.push_back({merged.x[p], merged.y[p]});
+  }
   std::sort(lhs.begin(), lhs.end());
   lhs.erase(std::unique(lhs.begin(), lhs.end()), lhs.end());
 

@@ -244,6 +244,21 @@ rule(
     "naked new/malloc; use std::make_unique, a container, or a "
     "caller-owned scratch/arena"))
 
+rule(
+    "pareto-scratch",
+    "the flat Pareto kernel's ParetoScratch stays inside common/pareto* "
+    "and the DAG aggregator; other src/ code goes through ParetoIndices, "
+    "so no caller stages into kernel buffers or depends on which of them "
+    "a kernel reads",
+    lambda relpath: (relpath.startswith("src/")
+                     and relpath.endswith((".h", ".cc", ".cpp"))
+                     and not relpath.startswith(("src/common/pareto",
+                                                 "src/moo/dag_aggregation."))),
+)(_token_rule(
+    r"\bParetoScratch\b",
+    "ParetoScratch outside common/pareto* and moo/dag_aggregation.*; call "
+    "ParetoIndices (common/pareto.h) instead"))
+
 @rule(
     "bench-result",
     "machine-readable RESULT lines are emitted only via "
