@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/invariants.h"
-#include "common/check.h"
 #include "common/rng.h"
 #include "obs/trace.h"
 
@@ -59,20 +58,9 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
     ++result.replans;
 
     // A stage is completed when every subQ of its member operators is.
-    std::vector<int> subq_of(plan_->num_ops(), -1);
-    for (const auto& sq : subqs_) {
-      for (int op : sq.op_ids) subq_of[op] = sq.id;
-    }
-    for (const auto& st : pplan.stages) {
-      for (int op : st.op_ids) {
-        SPARKOPT_DCHECK_GE(subq_of[op], 0)
-            << "stage " << st.id << " executes op " << op
-            << " outside the subQ decomposition";
-      }
-    }
     auto stage_completed = [&](const QueryStage& st) {
       for (int op : st.op_ids) {
-        if (!completed[subq_of[op]]) return false;
+        if (!completed[subq_of_[op]]) return false;
       }
       return true;
     };
@@ -130,9 +118,9 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
       // Count the distinct subQs merged into this stage (BHJ collapses).
       std::vector<int> distinct;
       for (int op : pplan.stages[se.stage_id].op_ids) {
-        if (std::find(distinct.begin(), distinct.end(), subq_of[op]) ==
+        if (std::find(distinct.begin(), distinct.end(), subq_of_[op]) ==
             distinct.end()) {
-          distinct.push_back(subq_of[op]);
+          distinct.push_back(subq_of_[op]);
         }
       }
       se.merged_subqs = static_cast<int>(distinct.size());
@@ -155,7 +143,7 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
     // Mark completion.
     for (int sid : ready) {
       for (int op : pplan.stages[sid].op_ids) {
-        completed[subq_of[op]] = true;
+        completed[subq_of_[op]] = true;
       }
     }
     ++wave;

@@ -57,7 +57,8 @@ class AqeDriver {
  public:
   AqeDriver(const LogicalPlan* plan, const Simulator* simulator)
       : plan_(plan), simulator_(simulator),
-        subqs_(plan->DecomposeSubQueries()) {}
+        subqs_(plan->DecomposeSubQueries()),
+        subq_of_(plan->SubQueryOfOp(subqs_)) {}
 
   /// Runs the query to completion. `theta_p`/`theta_s` hold one entry per
   /// subQ (fine-grained) or a single entry (query-level); hooks may mutate
@@ -75,6 +76,7 @@ class AqeDriver {
   const LogicalPlan* plan_;
   const Simulator* simulator_;
   std::vector<SubQuery> subqs_;
+  std::vector<int> subq_of_;  ///< op id -> subQ id
 };
 
 }  // namespace sparkopt

@@ -10,12 +10,13 @@
 /// \brief Per-subQ objective evaluation: the phi_j(subQ_i, theta_c,
 /// theta_p_i, theta_s_i) functions that HMOOC optimizes (Definition 5.1).
 ///
-/// Each subQ is costed as the query stage it will become: input sizes
-/// come from child subQ roots (CBO estimates at compile time, true values
-/// at runtime), the join algorithm follows the parametric thresholds, and
-/// the objectives are the paper's analytical latency (sum of task
-/// latencies / total cores) plus the decomposable cloud-cost share
-/// (CPU-hour + memory-hour + IO priced per subQ).
+/// Each subQ is costed as the query stage it will become, lowered by the
+/// physical planner's own function (physical/stage_lowering.h): input
+/// sizes come from child subQ roots (CBO estimates at compile time, true
+/// values at runtime), the join algorithm follows the parametric
+/// thresholds, and the objectives are the paper's analytical latency
+/// (sum of task latencies / total cores) plus the decomposable
+/// cloud-cost share (CPU-hour + memory-hour + IO priced per subQ).
 ///
 /// Because operator cardinalities do not depend on the configuration,
 /// subQ objectives are exactly separable given theta_c — the property
@@ -44,7 +45,9 @@ class SubQEvaluator {
   const Query& query() const { return *query_; }
 
   /// \brief Builds the query stage this subQ becomes under the given
-  /// parameters (used both for costing and for feature extraction).
+  /// parameters (used both for costing and for feature extraction):
+  /// the planner's own lowering (LowerSubQuery, stage_lowering.h) with
+  /// the analytic CPU-work rule.
   ///
   /// `completed_subqs`, if non-null, marks subQs whose true statistics
   /// are known at runtime: operators inside them read true cardinalities
@@ -66,12 +69,6 @@ class SubQEvaluator {
                           CardinalitySource source,
                           const std::vector<bool>* completed_subqs =
                               nullptr) const;
-
-  /// Query-level objectives = sum over subQs (the Lambda aggregator).
-  SubQObjectives EvaluateQuery(const ContextParams& theta_c,
-                               const std::vector<PlanParams>& theta_p,
-                               const std::vector<StageParams>& theta_s,
-                               CardinalitySource source) const;
 
   const TaskCostModel& cost_model() const { return cost_model_; }
 

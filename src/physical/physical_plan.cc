@@ -7,6 +7,7 @@
 
 #include "analysis/invariants.h"
 #include "common/check.h"
+#include "physical/stage_lowering.h"
 
 namespace sparkopt {
 
@@ -17,39 +18,6 @@ const char* JoinAlgoName(JoinAlgo a) {
     case JoinAlgo::kBroadcastHashJoin: return "BHJ";
   }
   return "?";
-}
-
-std::vector<int> PhysicalPlan::ExecutionOrder() const {
-  const int n = static_cast<int>(stages.size());
-  std::vector<int> in_deg(n, 0);
-  std::vector<std::vector<int>> out(n);
-  for (const auto& st : stages) {
-    for (int d : st.deps) {
-      out[d].push_back(st.id);
-      ++in_deg[st.id];
-    }
-    for (int d : st.broadcast_deps) {
-      out[d].push_back(st.id);
-      ++in_deg[st.id];
-    }
-  }
-  std::vector<int> order, frontier;
-  for (int i = 0; i < n; ++i) {
-    if (in_deg[i] == 0) frontier.push_back(i);
-  }
-  std::sort(frontier.begin(), frontier.end());
-  while (!frontier.empty()) {
-    int u = frontier.front();
-    frontier.erase(frontier.begin());
-    order.push_back(u);
-    for (int v : out[u]) {
-      if (--in_deg[v] == 0) {
-        frontier.insert(
-            std::upper_bound(frontier.begin(), frontier.end(), v), v);
-      }
-    }
-  }
-  return order;
 }
 
 int PhysicalPlan::CountJoins(JoinAlgo algo) const {
@@ -127,30 +95,6 @@ std::vector<double> ApplyCoalesce(std::vector<double> partition_bytes,
   return out;
 }
 
-namespace {
-
-// Per-row CPU weight by operator type (arbitrary but fixed units; the
-// cost model converts to seconds via its rows-per-second throughput).
-double OpWeight(OpType t) {
-  switch (t) {
-    case OpType::kScan: return 1.0;
-    case OpType::kFilter: return 0.25;
-    case OpType::kProject: return 0.15;
-    case OpType::kJoin: return 0.0;  // handled per algorithm
-    case OpType::kAggregate: return 0.9;
-    case OpType::kSort: return 0.0;  // handled as n log n below
-    case OpType::kLimit: return 0.05;
-    case OpType::kUnion: return 0.1;
-    default: return 0.5;
-  }
-}
-
-double NLogN(double n) {
-  return n * std::log2(std::max(n, 2.0));
-}
-
-}  // namespace
-
 Result<PhysicalPlan> PhysicalPlanner::Plan(
     const ContextParams& theta_c,
     const std::vector<PlanParams>& theta_p_per_subq,
@@ -162,45 +106,18 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   if (theta_p_per_subq.empty() || theta_s_per_subq.empty()) {
     return Status::InvalidArgument("need at least one theta_p and theta_s");
   }
-  auto theta_p_of = [&](int subq) -> const PlanParams& {
-    return theta_p_per_subq[theta_p_per_subq.size() == 1
-                                ? 0
-                                : std::min<size_t>(subq, m - 1)];
-  };
-  auto theta_s_of = [&](int subq) -> const StageParams& {
-    return theta_s_per_subq[theta_s_per_subq.size() == 1
-                                ? 0
-                                : std::min<size_t>(subq, m - 1)];
-  };
-
-  // subq id of each operator.
-  std::vector<int> subq_of(plan.num_ops(), -1);
-  for (const auto& sq : subqs_) {
-    for (int op : sq.op_ids) subq_of[op] = sq.id;
-  }
-  for (size_t i = 0; i < subq_of.size(); ++i) {
-    SPARKOPT_DCHECK_GE(subq_of[i], 0)
-        << "op " << i << " is not covered by the subQ decomposition";
-  }
-
-  auto believed_rows = [&](int op_id) {
-    const auto& op = plan.op(op_id);
-    const bool truth =
-        source == CardinalitySource::kTrue ||
-        (subq_of[op_id] < static_cast<int>(completed_subqs.size()) &&
-         completed_subqs[subq_of[op_id]]);
-    return truth ? op.true_rows : op.est_rows;
-  };
-  auto believed_bytes = [&](int op_id) {
-    const auto& op = plan.op(op_id);
-    const bool truth =
-        source == CardinalitySource::kTrue ||
-        (subq_of[op_id] < static_cast<int>(completed_subqs.size()) &&
-         completed_subqs[subq_of[op_id]]);
-    return truth ? op.true_bytes : op.est_bytes;
-  };
-
-  const double mb = 1024.0 * 1024.0;
+  // subQ id -> stage id, filled by stage formation (step 2).
+  std::vector<int> stage_of_subq(m, -1);
+  const StageLowering lw{.plan = plan_,
+                         .subq_of_op = &subq_of_,
+                         .source = source,
+                         .completed = &completed_subqs,
+                         .theta_c = &theta_c,
+                         .theta_p = theta_p_per_subq.data(),
+                         .num_theta_p = theta_p_per_subq.size(),
+                         .theta_s = theta_s_per_subq.data(),
+                         .num_theta_s = theta_s_per_subq.size(),
+                         .stage_of_subq = &stage_of_subq};
 
   // ---- 1. Join algorithm decisions ------------------------------------
   PhysicalPlan result;
@@ -209,28 +126,10 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   for (int id : plan.TopologicalOrder()) {
     const auto& op = plan.op(id);
     if (op.type != OpType::kJoin || op.children.size() < 2) continue;
-    const auto& tp = theta_p_of(subq_of[id]);
-    // Build side = smaller believed side.
-    int build = op.children[0];
-    int probe = op.children[1];
-    if (believed_bytes(build) > believed_bytes(probe)) std::swap(build, probe);
-    const double build_mb = believed_bytes(build) / mb;
-    JoinAlgo algo = JoinAlgo::kSortMergeJoin;
-    // Non-empty partition ratio of the build side under the planned
-    // shuffle partition count: demote BHJ when too few partitions are
-    // non-empty relative to s2 (AQE demotion rule).
-    const double non_empty_ratio =
-        std::min(1.0, believed_rows(build) /
-                          std::max(1.0, double(tp.shuffle_partitions)));
-    if (build_mb <= tp.broadcast_join_threshold_mb &&
-        non_empty_ratio >= tp.non_empty_partition_ratio) {
-      algo = JoinAlgo::kBroadcastHashJoin;
-    } else if (build_mb <= tp.shuffled_hash_join_threshold_mb) {
-      algo = JoinAlgo::kShuffledHashJoin;
-    }
-    algo_of_op[id] = algo;
-    build_child_of[id] = build;
-    result.join_decisions.push_back({id, algo, build_mb, build});
+    const JoinChoice jc = ChooseJoin(lw, id);
+    algo_of_op[id] = jc.algo;
+    build_child_of[id] = jc.build;
+    result.join_decisions.push_back({id, jc.algo, jc.build_mb, jc.build});
   }
 
   // ---- 2. Stage formation: merge BHJ subQs into their probe stage -----
@@ -252,8 +151,8 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   std::vector<std::vector<int>> subq_consumers(m);
   for (int id = 0; id < plan.num_ops(); ++id) {
     for (int c : plan.op(id).children) {
-      if (subq_of[c] != subq_of[id]) {
-        subq_consumers[subq_of[c]].push_back(subq_of[id]);
+      if (subq_of_[c] != subq_of_[id]) {
+        subq_consumers[subq_of_[c]].push_back(subq_of_[id]);
       }
     }
   }
@@ -300,18 +199,17 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
       // never into a stage that has already executed (AQE re-planning
       // cannot rewrite completed stages; the BHJ then runs in its own
       // stage reading the probe side's materialized shuffle output).
-      if (subq_completed(subq_of[id]) || subq_completed(subq_of[c])) {
+      if (subq_completed(subq_of_[id]) || subq_completed(subq_of_[c])) {
         continue;
       }
-      const int gj = find(subq_of[id]);
-      const int gp = find(subq_of[c]);
+      const int gj = find(subq_of_[id]);
+      const int gp = find(subq_of_[c]);
       if (gj == gp || would_cycle(gp, gj)) continue;
       uf[gj] = gp;
     }
   }
 
   // Group subQs into stages.
-  std::vector<int> stage_of_subq(m, -1);
   for (size_t i = 0; i < m; ++i) {
     const int r = find(static_cast<int>(i));
     if (stage_of_subq[r] == -1) {
@@ -325,140 +223,11 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   }
   // Fill member ops in topological order.
   for (int id : plan.TopologicalOrder()) {
-    auto& st = result.stages[stage_of_subq[subq_of[id]]];
-    st.op_ids.push_back(id);
-    const auto& op = plan.op(id);
-    if (op.type == OpType::kScan) st.is_scan_stage = true;
-    if (op.type == OpType::kJoin) {
-      st.has_join = true;
-      st.join_algo = algo_of_op[id];
-    }
+    result.stages[stage_of_subq[subq_of_[id]]].op_ids.push_back(id);
   }
 
-  // ---- 3. Dependencies, IO totals, CPU work ----------------------------
-  for (auto& st : result.stages) {
-    double skew = 0.0;
-    for (int id : st.op_ids) {
-      const auto& op = plan.op(id);
-      if (op.type == OpType::kScan && op.table_id >= 0) {
-        st.input_rows += believed_rows(id) / std::max(op.selectivity, 1e-9);
-        st.input_bytes += believed_bytes(id) / std::max(op.selectivity, 1e-9);
-      }
-      skew = std::max(skew, op.shuffle_skew);
-      for (int c : op.children) {
-        const int child_stage = stage_of_subq[subq_of[c]];
-        if (child_stage == st.id) continue;
-        const bool is_broadcast =
-            op.type == OpType::kJoin &&
-            algo_of_op[id] == JoinAlgo::kBroadcastHashJoin &&
-            c == build_child_of[id];
-        if (is_broadcast) {
-          if (std::find(st.broadcast_deps.begin(), st.broadcast_deps.end(),
-                        child_stage) == st.broadcast_deps.end()) {
-            st.broadcast_deps.push_back(child_stage);
-          }
-          st.broadcast_bytes += believed_bytes(c);
-        } else {
-          if (std::find(st.deps.begin(), st.deps.end(), child_stage) ==
-              st.deps.end()) {
-            st.deps.push_back(child_stage);
-          }
-          st.shuffle_read_bytes += believed_bytes(c);
-          st.input_rows += believed_rows(c);
-          st.input_bytes += believed_bytes(c);
-        }
-      }
-      // CPU work by operator type / join algorithm.
-      const double out_rows = believed_rows(id);
-      switch (op.type) {
-        case OpType::kJoin: {
-          const int build = build_child_of[id];
-          double build_rows = 0.0, probe_rows = 0.0;
-          for (int c : op.children) {
-            (c == build ? build_rows : probe_rows) += believed_rows(c);
-          }
-          switch (algo_of_op[id]) {
-            case JoinAlgo::kSortMergeJoin:
-              st.sort_work += 0.35 * (NLogN(build_rows) + NLogN(probe_rows)) /
-                              std::log2(1e6);
-              st.cpu_work += 0.6 * (build_rows + probe_rows) + st.sort_work;
-              break;
-            case JoinAlgo::kShuffledHashJoin:
-              st.cpu_work += 1.0 * build_rows + 0.35 * probe_rows;
-              break;
-            case JoinAlgo::kBroadcastHashJoin:
-              // Hash table built once per executor core group; charged per
-              // executor by the cost model via broadcast fields.
-              st.cpu_work += 0.4 * probe_rows;
-              break;
-          }
-          st.cpu_work += 0.15 * out_rows;  // output materialization
-          break;
-        }
-        case OpType::kSort:
-          st.sort_work += 0.5 * NLogN(out_rows) / std::log2(1e6);
-          st.cpu_work += st.sort_work;
-          break;
-        default: {
-          double in_rows = 0.0;
-          if (op.type == OpType::kScan) {
-            in_rows = believed_rows(id) / std::max(op.selectivity, 1e-9);
-          } else {
-            for (int c : op.children) in_rows += believed_rows(c);
-          }
-          st.cpu_work += OpWeight(op.type) * std::max(in_rows, out_rows);
-          break;
-        }
-      }
-    }
-    const int root_op = st.op_ids.empty() ? -1 : st.op_ids.back();
-    if (root_op >= 0) {
-      st.output_rows = believed_rows(root_op);
-      st.output_bytes = believed_bytes(root_op);
-    }
-
-    // ---- 4. Partitioning ------------------------------------------------
-    const auto& tp = theta_p_of(st.subq_id);
-    const auto& ts = theta_s_of(st.subq_id);
-    if (st.is_scan_stage) {
-      // Spark's file-split formula: maxSplitBytes = min(s8,
-      // max(s9, total/defaultParallelism)).
-      const double total = std::max(st.input_bytes, 1.0);
-      const double split =
-          std::min(tp.max_partition_bytes_mb * mb,
-                   std::max(tp.file_open_cost_mb * mb,
-                            total / std::max(theta_c.default_parallelism, 1)));
-      st.num_partitions = std::max(1, static_cast<int>(std::ceil(
-                                          total / std::max(split, 1.0))));
-    } else {
-      st.num_partitions = std::max(1, tp.shuffle_partitions);
-    }
-    st.num_partitions = std::min(st.num_partitions, 4096);
-    st.partition_bytes =
-        SkewedPartitionSizes(st.input_bytes, st.num_partitions, skew);
-    if (!st.is_scan_stage) {
-      // AQE post-shuffle optimizations on this stage's input partitions.
-      if (st.has_join) {
-        st.partition_bytes = ApplySkewSplit(
-            std::move(st.partition_bytes), tp.skewed_partition_threshold_mb,
-            tp.skewed_partition_factor, tp.advisory_partition_size_mb);
-      }
-      st.partition_bytes = ApplyCoalesce(
-          std::move(st.partition_bytes), tp.advisory_partition_size_mb,
-          ts.rebalance_small_factor, ts.coalesce_min_partition_size_mb);
-      st.num_partitions = static_cast<int>(st.partition_bytes.size());
-    }
-    SPARKOPT_DCHECK_EQ(st.num_partitions,
-                       static_cast<int>(st.partition_bytes.size()))
-        << "stage " << st.id;
-    SPARKOPT_DCHECK_GE(st.num_partitions, 1) << "stage " << st.id;
-  }
-
-  // Root stage does not write a shuffle.
-  const int root_stage = stage_of_subq[subq_of[plan.root()]];
-  for (auto& st : result.stages) {
-    st.exchanges_output = st.id != root_stage;
-  }
+  // ---- 3. Dependencies, IO totals, CPU work, partitioning -------------
+  for (auto& st : result.stages) LowerStage(lw, CpuWorkRule::kExecuted, &st);
   SPARKOPT_VERIFY_PHYSICAL(result, plan_, "PhysicalPlanner::Plan");
   return result;
 }

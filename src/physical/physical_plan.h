@@ -74,8 +74,6 @@ struct PhysicalPlan {
   std::vector<QueryStage> stages;
   std::vector<JoinDecision> join_decisions;
 
-  /// Stage ids in dependency (topological) order.
-  std::vector<int> ExecutionOrder() const;
   int CountJoins(JoinAlgo algo) const;
 };
 
@@ -93,10 +91,16 @@ enum class CardinalitySource {
 /// likewise. `completed_subqs`, if non-empty, marks subQs whose true
 /// cardinalities are known (AQE re-planning): operators inside them read
 /// true stats regardless of `source`.
+///
+/// The planner decides join algorithms, merges BHJ subQs into their probe
+/// stage, and lowers each stage it forms through LowerStage
+/// (stage_lowering.h), the lowering the analytic model shares.
 class PhysicalPlanner {
  public:
   PhysicalPlanner(const LogicalPlan* plan, std::vector<SubQuery> subqs)
-      : plan_(plan), subqs_(std::move(subqs)) {}
+      : plan_(plan),
+        subqs_(std::move(subqs)),
+        subq_of_(plan->SubQueryOfOp(subqs_)) {}
 
   Result<PhysicalPlan> Plan(const ContextParams& theta_c,
                             const std::vector<PlanParams>& theta_p_per_subq,
@@ -109,6 +113,7 @@ class PhysicalPlanner {
  private:
   const LogicalPlan* plan_;
   std::vector<SubQuery> subqs_;
+  std::vector<int> subq_of_;  ///< op id -> subQ id
 };
 
 /// \brief Builds the per-partition byte distribution for `total_bytes`

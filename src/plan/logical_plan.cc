@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+
 namespace sparkopt {
 
 const char* OpTypeName(OpType t) {
@@ -126,6 +128,19 @@ std::vector<SubQuery> LogicalPlan::DecomposeSubQueries() const {
   }
   for (auto& sq : subqs) std::sort(sq.deps.begin(), sq.deps.end());
   return subqs;
+}
+
+std::vector<int> LogicalPlan::SubQueryOfOp(
+    const std::vector<SubQuery>& subqs) const {
+  std::vector<int> subq_of(ops_.size(), -1);
+  for (const auto& sq : subqs) {
+    for (int op : sq.op_ids) subq_of[op] = sq.id;
+  }
+  for (size_t i = 0; i < subq_of.size(); ++i) {
+    SPARKOPT_DCHECK_GE(subq_of[i], 0)
+        << "op " << i << " is not covered by the subQ decomposition";
+  }
+  return subq_of;
 }
 
 int LogicalPlan::CountOps(OpType t) const {

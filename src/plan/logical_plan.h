@@ -115,6 +115,10 @@ class LogicalPlan {
   /// other operators pipeline into their child's subQ. Requires Build().
   std::vector<SubQuery> DecomposeSubQueries() const;
 
+  /// \brief op id -> id of the subQ in `subqs` holding it (-1 when none
+  /// does; DCHECKed not to happen for a decomposition of this plan).
+  std::vector<int> SubQueryOfOp(const std::vector<SubQuery>& subqs) const;
+
   /// Number of joins in the plan (used by workload stats and benches).
   int CountOps(OpType t) const;
 

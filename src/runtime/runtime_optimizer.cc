@@ -102,6 +102,7 @@ void RuntimeOptimizer::OnPlanCollapsed(const LogicalPlan& plan,
   // Pruning (Appendix C.2.2): LQP parametric rules decide join
   // algorithms, so a request is useful only when some remaining subQ
   // contains a join whose inputs are now all completed.
+  const std::vector<int> subq_of = plan.SubQueryOfOp(subqs);
   std::vector<int> actionable;
   for (const auto& sq : subqs) {
     if (completed[sq.id]) continue;
@@ -111,14 +112,8 @@ void RuntimeOptimizer::OnPlanCollapsed(const LogicalPlan& plan,
       if (op.type != OpType::kJoin) continue;
       bool inputs_ready = true;
       for (int c : op.children) {
-        // Find the child's subQ.
-        for (const auto& csq : subqs) {
-          if (std::find(csq.op_ids.begin(), csq.op_ids.end(), c) !=
-              csq.op_ids.end()) {
-            if (csq.id != sq.id && !completed[csq.id]) inputs_ready = false;
-            break;
-          }
-        }
+        const int csq = subq_of[c];
+        if (csq >= 0 && csq != sq.id && !completed[csq]) inputs_ready = false;
       }
       if (inputs_ready) has_ready_join = true;
     }

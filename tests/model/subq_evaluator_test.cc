@@ -35,23 +35,6 @@ TEST(SubQEvaluatorTest, ObjectivesPositive) {
   }
 }
 
-TEST(SubQEvaluatorTest, QueryLevelIsSumOfSubqueries) {
-  Fixture fx;
-  double lat = 0, cost = 0, io = 0;
-  for (int i = 0; i < fx.eval.num_subqs(); ++i) {
-    auto o = fx.eval.Evaluate(i, fx.tc, fx.tp, fx.ts,
-                              CardinalitySource::kEstimated);
-    lat += o.analytical_latency;
-    cost += o.cost;
-    io += o.io_bytes;
-  }
-  auto total = fx.eval.EvaluateQuery(fx.tc, {fx.tp}, {fx.ts},
-                                     CardinalitySource::kEstimated);
-  EXPECT_NEAR(total.analytical_latency, lat, 1e-9);
-  EXPECT_NEAR(total.cost, cost, 1e-12);
-  EXPECT_NEAR(total.io_bytes, io, 1e-3);
-}
-
 TEST(SubQEvaluatorTest, MoreCoresReduceAnalyticalLatency) {
   Fixture fx;
   auto small = fx.tc;

@@ -123,20 +123,6 @@ TEST(StageFormationTest, BroadcastJoinMergesIntoProbeStage) {
   EXPECT_TRUE(found_broadcast);
 }
 
-TEST(StageFormationTest, ExecutionOrderRespectsDependencies) {
-  JoinFixture fx(500);
-  auto pp = fx.Plan(PlanParams{});
-  ASSERT_TRUE(pp.ok());
-  auto order = pp->ExecutionOrder();
-  ASSERT_EQ(order.size(), pp->stages.size());
-  std::vector<int> pos(order.size());
-  for (size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
-  for (const auto& st : pp->stages) {
-    for (int d : st.deps) EXPECT_LT(pos[d], pos[st.id]);
-    for (int d : st.broadcast_deps) EXPECT_LT(pos[d], pos[st.id]);
-  }
-}
-
 TEST(StageFormationTest, RootStageDoesNotExchangeOutput) {
   JoinFixture fx(500);
   auto pp = fx.Plan(PlanParams{});

@@ -3,7 +3,8 @@
 /// every stage the planner forms from a single subQ must be, bit for bit,
 /// the stage `SubQEvaluator::BuildStage` costs for that subQ. The model
 /// charges CPU work by its own rule, so `cpu_work` is the one field left
-/// out of that comparison.
+/// out of that comparison; the shared lowering called with the executed
+/// rule must match it too.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "model/subq_evaluator.h"
 #include "params/sampler.h"
 #include "physical/physical_plan.h"
+#include "physical/stage_lowering.h"
 #include "workload/tpcds.h"
 #include "workload/tpch.h"
 
@@ -84,10 +86,7 @@ TEST(StageLoweringTest, ModelStageMatchesUnmergedPlannerStage) {
     const SubQEvaluator eval(&q, ClusterSpec{}, CostModelParams{});
     const std::vector<SubQuery>& subqs = eval.subqueries();
     const PhysicalPlanner planner(&q.plan, subqs);
-    std::vector<int> subq_of(q.plan.num_ops(), -1);
-    for (const auto& sq : subqs) {
-      for (int op : sq.op_ids) subq_of[op] = sq.id;
-    }
+    const std::vector<int> subq_of = q.plan.SubQueryOfOp(subqs);
     // Three cardinality views: estimates, estimates with the first half
     // of the subQs completed (mid-query AQE), and the truth.
     std::vector<bool> half(subqs.size(), false);
@@ -119,8 +118,20 @@ TEST(StageLoweringTest, ModelStageMatchesUnmergedPlannerStage) {
           }
           const QueryStage model =
               eval.BuildStage(sq, tc, tp, ts, view.source, view.completed);
+          const StageLowering lw{.plan = &q.plan,
+                                 .subq_of_op = &subq_of,
+                                 .source = view.source,
+                                 .completed = view.completed,
+                                 .theta_c = &tc,
+                                 .theta_p = &tp,
+                                 .theta_s = &ts};
+          const QueryStage executed =
+              LowerSubQuery(lw, subqs[sq], CpuWorkRule::kExecuted);
           ++compared;
-          const std::string diff = FirstDifference(st, model);
+          std::string diff = FirstDifference(st, model);
+          if (diff.empty() && !SameBits(st.cpu_work, executed.cpu_work)) {
+            diff = "cpu_work under the executed rule";
+          }
           if (!diff.empty() && mismatched++ == 0) {
             std::ostringstream ss;
             ss << q.name << " conf " << c << " view " << v << " subQ " << sq

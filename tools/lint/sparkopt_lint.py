@@ -259,6 +259,20 @@ rule(
     "ParetoScratch outside common/pareto* and moo/dag_aggregation.*; call "
     "ParetoIndices (common/pareto.h) instead"))
 
+rule(
+    "stage-lowering",
+    "partitioning (Zipf sizes, skew split, coalesce) is part of the one "
+    "stage lowering in src/physical/ that the planner and the analytic "
+    "model share; other src/ code lowers stages through "
+    "LowerStage/LowerSubQuery instead of re-deriving partitions",
+    lambda relpath: (relpath.startswith("src/")
+                     and relpath.endswith((".h", ".cc", ".cpp"))
+                     and not relpath.startswith("src/physical/")),
+)(_token_rule(
+    r"\b(SkewedPartitionSizes|ApplySkewSplit|ApplyCoalesce)\b",
+    "partitioning helper outside src/physical/; lower the stage through "
+    "LowerStage/LowerSubQuery (physical/stage_lowering.h)"))
+
 @rule(
     "bench-result",
     "machine-readable RESULT lines are emitted only via "
