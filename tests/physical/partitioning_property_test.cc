@@ -1,14 +1,23 @@
 /// \file partitioning_property_test.cc
 /// \brief Property tests for the partitioning rules (the s1/s5-s7/s10/s11
 /// machinery): mass conservation, size bounds, and monotonicity across
-/// randomized sweeps.
+/// randomized sweeps; and the analytic model's costing of a subQ checked,
+/// bit for bit, against the stage BuildStage materializes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "common/rng.h"
+#include "model/subq_evaluator.h"
+#include "params/sampler.h"
 #include "physical/physical_plan.h"
+#include "workload/tpcds.h"
+#include "workload/tpch.h"
 
 namespace sparkopt {
 namespace {
@@ -100,6 +109,97 @@ TEST_P(PartitionRulesPropertyTest, SplitThenCoalesceStableMass) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionRulesPropertyTest,
                          ::testing::Values(3, 7, 31, 127, 8191));
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+std::vector<Query> AllPlans(const std::vector<TableStats>* tpch,
+                            const std::vector<TableStats>* tpcds) {
+  std::vector<Query> queries = TpchBenchmark(tpch);
+  for (Query& q : TpcdsBenchmark(tpcds)) queries.push_back(std::move(q));
+  return queries;
+}
+
+// The objectives of a materialized stage, costed one partition at a time
+// (every partition at once when all are equal).
+SubQObjectives CostMaterializedStage(const SubQEvaluator& eval,
+                                     const QueryStage& st,
+                                     const ContextParams& tc) {
+  const TaskCostModel& cm = eval.cost_model();
+  const std::vector<double>& pb = st.partition_bytes;
+  const bool uniform =
+      std::all_of(pb.begin(), pb.end(), [&](double b) { return b == pb[0]; });
+  double task_sum = 0.0;
+  if (uniform && st.num_partitions > 1) {
+    task_sum = st.num_partitions * cm.TaskLatency(st, 0, tc, /*seed=*/0);
+  } else {
+    for (int t = 0; t < st.num_partitions; ++t) {
+      task_sum += cm.TaskLatency(st, t, tc, /*seed=*/0);
+    }
+  }
+  const int cores = std::min(tc.TotalCores(), cm.cluster().TotalCores());
+  SubQObjectives obj;
+  obj.analytical_latency =
+      task_sum / std::max(cores, 1) + cm.StageSetupLatency(st, tc);
+  obj.io_bytes = cm.StageIoBytes(st, tc);
+  obj.cost = CloudCost(PriceBook(), cores,
+                       tc.executor_memory_gb * tc.executor_instances,
+                       obj.analytical_latency,
+                       obj.io_bytes / (1024.0 * 1024.0 * 1024.0));
+  return obj;
+}
+
+// Evaluate must cost exactly the stage BuildStage returns, over every
+// subQ of the 124 plans, LHS confs, and the estimated and mid-query
+// (first half of the subQs completed) cardinality views.
+TEST(AnalyticEvaluateTest, MatchesPartitionSumOverBuiltStage) {
+  const std::vector<TableStats> tpch = TpchCatalog(100.0);
+  const std::vector<TableStats> tpcds = TpcdsCatalog(100.0);
+  const std::vector<Query> queries = AllPlans(&tpch, &tpcds);
+  ASSERT_EQ(queries.size(), 124u);
+  Rng rng(23);
+  std::vector<std::vector<double>> confs = {DefaultSparkConfig()};
+  for (auto& c : SampleLatinHypercube(SparkParamSpace(), 4, &rng)) {
+    confs.push_back(std::move(c));
+  }
+  int compared = 0, mismatched = 0;
+  std::string first;
+  for (const Query& q : queries) {
+    const SubQEvaluator eval(&q, ClusterSpec{}, CostModelParams{});
+    std::vector<bool> half(eval.num_subqs(), false);
+    std::fill(half.begin(), half.begin() + half.size() / 2, true);
+    const std::vector<bool>* const views[] = {nullptr, &half};
+    for (size_t c = 0; c < confs.size(); ++c) {
+      const ContextParams tc = DecodeContext(confs[c]);
+      const PlanParams tp = DecodePlan(confs[c]);
+      const StageParams ts = DecodeStage(confs[c]);
+      for (const std::vector<bool>* completed : views) {
+        for (int sq = 0; sq < eval.num_subqs(); ++sq) {
+          const SubQObjectives got = eval.Evaluate(
+              sq, tc, tp, ts, CardinalitySource::kEstimated, completed);
+          const SubQObjectives want = CostMaterializedStage(
+              eval,
+              eval.BuildStage(sq, tc, tp, ts, CardinalitySource::kEstimated,
+                              completed),
+              tc);
+          ++compared;
+          if (SameBits(got.analytical_latency, want.analytical_latency) &&
+              SameBits(got.io_bytes, want.io_bytes) &&
+              SameBits(got.cost, want.cost)) {
+            continue;
+          }
+          if (mismatched++ == 0) {
+            first = q.name + " conf " + std::to_string(c) + " subQ " +
+                    std::to_string(sq);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000);
+  EXPECT_EQ(mismatched, 0) << "first mismatch: " << first;
+}
 
 }  // namespace
 }  // namespace sparkopt
