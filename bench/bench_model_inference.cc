@@ -3,17 +3,23 @@
 /// analytic subQ evaluation (the compile-time phi), MLP inference (the
 /// learned phi — the paper's Xput column), feature extraction, and the
 /// physical planner. The paper's 1-2 s solving budget rests on these
-/// being 10^4-10^5 evaluations/second.
+/// being 10^4-10^5 evaluations/second. The `analytic_eval` RESULT rows
+/// time SubQEvaluator::Evaluate over every subQ of a benchmark's plans
+/// under a seeded LHS sweep, so partition counts and skews vary the way
+/// they do inside a solve.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
 #include "bench_util.h"
+#include "common/rng.h"
 #include "model/features.h"
 #include "model/mlp.h"
 #include "model/subq_evaluator.h"
 #include "moo/objective_models.h"
+#include "params/sampler.h"
+#include "workload/tpcds.h"
 #include "workload/tpch.h"
 
 namespace sparkopt {
@@ -157,6 +163,59 @@ void EmitInferenceResults() {
   }
 }
 
+// ns per SubQEvaluator::Evaluate over a fixed seeded LHS sweep of every
+// subQ of one benchmark's plans (SF 100), one RESULT row per workload.
+void EmitAnalyticEvalResult(const char* workload,
+                            const std::vector<Query>& queries) {
+  Rng rng(41);
+  const auto confs = SampleLatinHypercube(SparkParamSpace(), 16, &rng);
+  struct Params {
+    ContextParams tc;
+    PlanParams tp;
+    StageParams ts;
+  };
+  std::vector<Params> params;
+  for (const auto& c : confs) {
+    params.push_back({DecodeContext(c), DecodePlan(c), DecodeStage(c)});
+  }
+  const ClusterSpec cluster;
+  const CostModelParams cost;
+  std::vector<SubQEvaluator> evals;
+  evals.reserve(queries.size());
+  for (const Query& q : queries) evals.emplace_back(&q, cluster, cost);
+  auto sweep = [&] {
+    size_t n = 0;
+    for (const Params& p : params) {
+      for (const SubQEvaluator& e : evals) {
+        for (int sq = 0; sq < e.num_subqs(); ++sq) {
+          benchmark::DoNotOptimize(e.Evaluate(sq, p.tc, p.tp, p.ts,
+                                              CardinalitySource::kEstimated));
+          ++n;
+        }
+      }
+    }
+    return n;
+  };
+  sweep();  // warm-up
+  const int reps = benchutil::FastMode() ? 3 : 20;
+  size_t total = 0;
+  benchutil::Timer timer;
+  for (int r = 0; r < reps; ++r) total += sweep();
+  const double s = timer.Seconds();
+  obs::JsonObject o;
+  o.emplace_back("workload", obs::Json(workload));
+  o.emplace_back("ns_per_eval", obs::Json(s / total * 1e9));
+  o.emplace_back("evaluations", obs::Json(static_cast<uint64_t>(total)));
+  benchutil::EmitJson("analytic_eval", obs::Json(std::move(o)));
+}
+
+void EmitAnalyticEvalResults() {
+  const std::vector<TableStats> tpch = TpchCatalog(100);
+  const std::vector<TableStats> tpcds = TpcdsCatalog(100);
+  EmitAnalyticEvalResult("tpch", TpchBenchmark(&tpch));
+  EmitAnalyticEvalResult("tpcds", TpcdsBenchmark(&tpcds));
+}
+
 }  // namespace
 }  // namespace sparkopt
 
@@ -166,5 +225,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   sparkopt::EmitInferenceResults();
+  sparkopt::EmitAnalyticEvalResults();
   return 0;
 }

@@ -18,9 +18,9 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
   const int verify_cores = std::min(
       theta_c.TotalCores(), simulator_->cost_model().cluster().TotalCores());
 #endif
-  const size_t m = subqs_.size();
-  std::vector<bool> completed(m, false);
-  PhysicalPlanner planner(plan_, subqs_);
+  const std::vector<SubQuery>& subqs = planner_.subqueries();
+  const std::vector<int>& subq_of = planner_.subq_of_op();
+  std::vector<bool> completed(subqs.size(), false);
 
   AqeHooks default_hooks;
   if (hooks == nullptr) hooks = &default_hooks;
@@ -29,7 +29,7 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
   if (!adaptive) {
     // Plan once from estimates, execute the whole DAG in one simulation
     // (random task interleaving across independent stages).
-    auto plan_or = planner.Plan(theta_c, theta_p, theta_s,
+    auto plan_or = planner_.Plan(theta_c, theta_p, theta_s,
                                 CardinalitySource::kEstimated);
     if (!plan_or.ok()) return plan_or.status();
     // Random task interleaving across independent stages: with AQE off,
@@ -49,7 +49,7 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
     wave_span.Arg("wave", wave);
     // Re-plan the remaining query with true stats for completed subQs.
     obs::Span replan_span("aqe.replan");
-    auto plan_or = planner.Plan(theta_c, theta_p, theta_s,
+    auto plan_or = planner_.Plan(theta_c, theta_p, theta_s,
                                 CardinalitySource::kEstimated, completed);
     replan_span.End();
     obs::Count("aqe.replans");
@@ -60,7 +60,7 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
     // A stage is completed when every subQ of its member operators is.
     auto stage_completed = [&](const QueryStage& st) {
       for (int op : st.op_ids) {
-        if (!completed[subq_of_[op]]) return false;
+        if (!completed[subq_of[op]]) return false;
       }
       return true;
     };
@@ -80,7 +80,7 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
 
     // Step 9: query-stage optimization hook; re-plan if theta_s changed.
     auto theta_s_before = theta_s;
-    hooks->OnStagesReady(pplan, ready, subqs_, &theta_s);
+    hooks->OnStagesReady(pplan, ready, subqs, &theta_s);
     bool theta_s_changed = false;
     for (size_t i = 0; i < theta_s.size(); ++i) {
       // Hooks may expand a single shared copy into per-subQ copies; the
@@ -96,7 +96,7 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
     }
     if (theta_s_changed) {
       obs::Span respan("aqe.replan");
-      auto replanned = planner.Plan(theta_c, theta_p, theta_s,
+      auto replanned = planner_.Plan(theta_c, theta_p, theta_s,
                                     CardinalitySource::kEstimated, completed);
       obs::Count("aqe.replans");
       if (!replanned.ok()) return replanned.status();
@@ -118,9 +118,9 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
       // Count the distinct subQs merged into this stage (BHJ collapses).
       std::vector<int> distinct;
       for (int op : pplan.stages[se.stage_id].op_ids) {
-        if (std::find(distinct.begin(), distinct.end(), subq_of_[op]) ==
+        if (std::find(distinct.begin(), distinct.end(), subq_of[op]) ==
             distinct.end()) {
-          distinct.push_back(subq_of_[op]);
+          distinct.push_back(subq_of[op]);
         }
       }
       se.merged_subqs = static_cast<int>(distinct.size());
@@ -143,7 +143,7 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
     // Mark completion.
     for (int sid : ready) {
       for (int op : pplan.stages[sid].op_ids) {
-        completed[subq_of_[op]] = true;
+        completed[subq_of[op]] = true;
       }
     }
     ++wave;
@@ -157,7 +157,7 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
     if (all_done) break;
 
     // Step 6: collapsed-plan optimization hook (theta_p for what remains).
-    hooks->OnPlanCollapsed(*plan_, subqs_, completed, &theta_p);
+    hooks->OnPlanCollapsed(*plan_, subqs, completed, &theta_p);
   }
 
   // Join census + cost from the executed record.

@@ -55,10 +55,11 @@ struct AqeResult {
 /// \brief Drives adaptive execution of one query.
 class AqeDriver {
  public:
+  /// Decomposes `plan` and builds the one planner every Run re-plans
+  /// with.
   AqeDriver(const LogicalPlan* plan, const Simulator* simulator)
       : plan_(plan), simulator_(simulator),
-        subqs_(plan->DecomposeSubQueries()),
-        subq_of_(plan->SubQueryOfOp(subqs_)) {}
+        planner_(plan, plan->DecomposeSubQueries()) {}
 
   /// Runs the query to completion. `theta_p`/`theta_s` hold one entry per
   /// subQ (fine-grained) or a single entry (query-level); hooks may mutate
@@ -70,13 +71,14 @@ class AqeDriver {
                         AqeHooks* hooks, uint64_t seed,
                         bool adaptive = true) const;
 
-  const std::vector<SubQuery>& subqueries() const { return subqs_; }
+  const std::vector<SubQuery>& subqueries() const {
+    return planner_.subqueries();
+  }
 
  private:
   const LogicalPlan* plan_;
   const Simulator* simulator_;
-  std::vector<SubQuery> subqs_;
-  std::vector<int> subq_of_;  ///< op id -> subQ id
+  PhysicalPlanner planner_;
 };
 
 }  // namespace sparkopt

@@ -14,11 +14,23 @@ constexpr double kMb = 1024.0 * 1024.0;
 double TaskCostModel::TaskLatency(const QueryStage& stage, int task_idx,
                                   const ContextParams& theta_c,
                                   uint64_t seed) const {
-  const double stage_bytes = std::max(stage.input_bytes, 1.0);
   const double part_bytes =
       task_idx < static_cast<int>(stage.partition_bytes.size())
           ? stage.partition_bytes[task_idx]
-          : stage_bytes / std::max(stage.num_partitions, 1);
+          : std::max(stage.input_bytes, 1.0) /
+                std::max(stage.num_partitions, 1);
+  double latency = TaskLatency(stage, part_bytes, theta_c);
+  if (params_.noise_sigma > 0.0) {
+    Rng rng(HashCombine(seed, HashCombine(stage.id * 1315423911ULL,
+                                          static_cast<uint64_t>(task_idx))));
+    latency *= rng.LogNormal(0.0, params_.noise_sigma);
+  }
+  return latency;
+}
+
+double TaskCostModel::TaskLatency(const QueryStage& stage, double part_bytes,
+                                  const ContextParams& theta_c) const {
+  const double stage_bytes = std::max(stage.input_bytes, 1.0);
   const double share = part_bytes / stage_bytes;
 
   // ---- CPU ---------------------------------------------------------------
@@ -85,15 +97,7 @@ double TaskCostModel::TaskLatency(const QueryStage& stage, int task_idx,
         params_.spill_penalty * std::min(3.0, working_mb / mem_mb - 1.0);
   }
 
-  double latency =
-      params_.task_overhead_s + (cpu_s + io_s) * spill_mult;
-
-  if (params_.noise_sigma > 0.0) {
-    Rng rng(HashCombine(seed, HashCombine(stage.id * 1315423911ULL,
-                                          static_cast<uint64_t>(task_idx))));
-    latency *= rng.LogNormal(0.0, params_.noise_sigma);
-  }
-  return latency;
+  return params_.task_overhead_s + (cpu_s + io_s) * spill_mult;
 }
 
 bool TaskCostModel::TaskSpills(const QueryStage& stage, int task_idx,

@@ -47,6 +47,13 @@ class TaskCostModel {
   double TaskLatency(const QueryStage& stage, int task_idx,
                      const ContextParams& theta_c, uint64_t seed) const;
 
+  /// Noise-free latency (seconds) of a task of `stage` reading
+  /// `part_bytes`; the overload above wraps it. It reads the stage's
+  /// final `num_partitions` (the shuffle-write share), so a stage's
+  /// partitions can be costed only after all of them are known.
+  double TaskLatency(const QueryStage& stage, double part_bytes,
+                     const ContextParams& theta_c) const;
+
   /// One-off stage setup cost paid before tasks run (stage launch plus
   /// broadcast distribution and per-executor hash-table builds for BHJ).
   double StageSetupLatency(const QueryStage& stage,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.h"
-#include "physical/stage_lowering.h"
 
 namespace sparkopt {
 
@@ -22,21 +21,30 @@ SubQEvaluator::SubQEvaluator(const Query* query, const ClusterSpec& cluster,
     : query_(query),
       subqs_(query->plan.DecomposeSubQueries()),
       subq_of_op_(query->plan.SubQueryOfOp(subqs_)),
+      zipf_(query->plan),
       cost_model_(cluster, NoiseFree(cost_params)),
       prices_(prices) {}
+
+StageLowering SubQEvaluator::Lowering(
+    const ContextParams& theta_c, const PlanParams& theta_p,
+    const StageParams& theta_s, CardinalitySource source,
+    const std::vector<bool>* completed_subqs) const {
+  return {.plan = &query_->plan,
+          .subq_of_op = &subq_of_op_,
+          .source = source,
+          .completed = completed_subqs,
+          .theta_c = &theta_c,
+          .theta_p = &theta_p,
+          .theta_s = &theta_s,
+          .zipf = &zipf_};
+}
 
 QueryStage SubQEvaluator::BuildStage(
     int subq_id, const ContextParams& theta_c, const PlanParams& tp,
     const StageParams& ts, CardinalitySource source,
     const std::vector<bool>* completed_subqs) const {
-  const StageLowering lw{.plan = &query_->plan,
-                         .subq_of_op = &subq_of_op_,
-                         .source = source,
-                         .completed = completed_subqs,
-                         .theta_c = &theta_c,
-                         .theta_p = &tp,
-                         .theta_s = &ts};
-  return LowerSubQuery(lw, subqs_[subq_id], CpuWorkRule::kAnalytic);
+  return LowerSubQuery(Lowering(theta_c, tp, ts, source, completed_subqs),
+                       subqs_[subq_id], CpuWorkRule::kAnalytic);
 }
 
 SubQObjectives SubQEvaluator::Evaluate(
@@ -45,23 +53,27 @@ SubQObjectives SubQEvaluator::Evaluate(
     const std::vector<bool>* completed_subqs) const {
   obs::Count("model.inferences");
   obs::ScopedHistogramTimer timer(obs::HistogramFor("model.inference_us"));
-  const QueryStage st = BuildStage(subq_id, theta_c, theta_p, theta_s,
-                                   source, completed_subqs);
+  const StageLowering lw =
+      Lowering(theta_c, theta_p, theta_s, source, completed_subqs);
+  // Per thread: solver workers evaluate concurrently.
+  thread_local PartitionScratch scratch;
+  QueryStage st;
+  st.id = subq_id;
+  st.subq_id = subq_id;
+  LowerStageRuns(lw, CpuWorkRule::kAnalytic, subqs_[subq_id].op_ids, &st,
+                 &scratch);
+  // Equal partitions cost the same: one TaskLatency per run. A single
+  // run is the uniform case, priced as count x latency; otherwise the
+  // latencies are added partition by partition, in order.
+  const std::vector<PartitionRun>& runs = scratch.runs;
   double task_sum = 0.0;
-  // Fast path: with uniform partitions every task costs the same.
-  bool uniform = true;
-  for (size_t t = 1; t < st.partition_bytes.size(); ++t) {
-    if (st.partition_bytes[t] != st.partition_bytes[0]) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform && st.num_partitions > 1) {
-    task_sum = st.num_partitions *
-               cost_model_.TaskLatency(st, 0, theta_c, /*seed=*/0);
+  if (runs.size() == 1) {
+    task_sum = static_cast<double>(runs[0].count) *
+               cost_model_.TaskLatency(st, runs[0].bytes, theta_c);
   } else {
-    for (int t = 0; t < st.num_partitions; ++t) {
-      task_sum += cost_model_.TaskLatency(st, t, theta_c, /*seed=*/0);
+    for (const PartitionRun& run : runs) {
+      const double lat = cost_model_.TaskLatency(st, run.bytes, theta_c);
+      for (int64_t i = 0; i < run.count; ++i) task_sum += lat;
     }
   }
   const int cores = std::min(theta_c.TotalCores(),

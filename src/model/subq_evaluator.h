@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "exec/cost_model.h"
+#include "physical/partitioner.h"
+#include "physical/stage_lowering.h"
 #include "workload/builder.h"
 
 /// \file subq_evaluator.h
@@ -62,7 +64,10 @@ class SubQEvaluator {
 
   /// Objectives of one subQ. Compile time: source = kEstimated, uniform
   /// partition assumption is still subject to operator skew annotations
-  /// (matching the planner).
+  /// (matching the planner). Costs the stage BuildStage returns, but
+  /// lowers it without materializing partitions (LowerStageRuns) and
+  /// prices each run of equal partitions once: after the first call on
+  /// a thread it allocates nothing.
   SubQObjectives Evaluate(int subq_id, const ContextParams& theta_c,
                           const PlanParams& theta_p,
                           const StageParams& theta_s,
@@ -73,9 +78,15 @@ class SubQEvaluator {
   const TaskCostModel& cost_model() const { return cost_model_; }
 
  private:
+  StageLowering Lowering(const ContextParams& theta_c,
+                         const PlanParams& theta_p,
+                         const StageParams& theta_s, CardinalitySource source,
+                         const std::vector<bool>* completed_subqs) const;
+
   const Query* query_;
   std::vector<SubQuery> subqs_;
   std::vector<int> subq_of_op_;
+  ZipfTables zipf_;
   TaskCostModel cost_model_;
   PriceBook prices_;
 };

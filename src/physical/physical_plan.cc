@@ -117,7 +117,8 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
                          .num_theta_p = theta_p_per_subq.size(),
                          .theta_s = theta_s_per_subq.data(),
                          .num_theta_s = theta_s_per_subq.size(),
-                         .stage_of_subq = &stage_of_subq};
+                         .stage_of_subq = &stage_of_subq,
+                         .zipf = &zipf_};
 
   // ---- 1. Join algorithm decisions ------------------------------------
   PhysicalPlan result;
@@ -227,7 +228,10 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   }
 
   // ---- 3. Dependencies, IO totals, CPU work, partitioning -------------
-  for (auto& st : result.stages) LowerStage(lw, CpuWorkRule::kExecuted, &st);
+  PartitionScratch scratch;
+  for (auto& st : result.stages) {
+    LowerStage(lw, CpuWorkRule::kExecuted, &st, &scratch);
+  }
   SPARKOPT_VERIFY_PHYSICAL(result, plan_, "PhysicalPlanner::Plan");
   return result;
 }

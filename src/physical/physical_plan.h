@@ -4,6 +4,7 @@
 
 #include "common/status.h"
 #include "params/spark_params.h"
+#include "physical/partitioner.h"
 #include "plan/logical_plan.h"
 
 /// \file physical_plan.h
@@ -94,13 +95,15 @@ enum class CardinalitySource {
 ///
 /// The planner decides join algorithms, merges BHJ subQs into their probe
 /// stage, and lowers each stage it forms through LowerStage
-/// (stage_lowering.h), the lowering the analytic model shares.
+/// (stage_lowering.h), the lowering the analytic model shares. The
+/// plan's Zipf tables are built once, here, for every Plan call.
 class PhysicalPlanner {
  public:
   PhysicalPlanner(const LogicalPlan* plan, std::vector<SubQuery> subqs)
       : plan_(plan),
         subqs_(std::move(subqs)),
-        subq_of_(plan->SubQueryOfOp(subqs_)) {}
+        subq_of_(plan->SubQueryOfOp(subqs_)),
+        zipf_(*plan) {}
 
   Result<PhysicalPlan> Plan(const ContextParams& theta_c,
                             const std::vector<PlanParams>& theta_p_per_subq,
@@ -109,16 +112,25 @@ class PhysicalPlanner {
                             const std::vector<bool>& completed_subqs = {}) const;
 
   const std::vector<SubQuery>& subqueries() const { return subqs_; }
+  /// op id -> subQ id.
+  const std::vector<int>& subq_of_op() const { return subq_of_; }
 
  private:
   const LogicalPlan* plan_;
   std::vector<SubQuery> subqs_;
   std::vector<int> subq_of_;  ///< op id -> subQ id
+  ZipfTables zipf_;
 };
+
+// ---- Materializing partitioning rules: test oracles --------------------
+// The lowering partitions through PartitionRuns (partitioner.h), which
+// must match ApplyCoalesce(ApplySkewSplit(SkewedPartitionSizes(...))) bit
+// for bit. These stay as the readable reference it is tested against;
+// no production code calls them (lint rule stage-lowering).
 
 /// \brief Builds the per-partition byte distribution for `total_bytes`
 /// split into `n` partitions with Zipf-like skew `z` in [0,1] (0 =
-/// uniform). Deterministic. Exposed for tests and the beta features.
+/// uniform). Deterministic.
 std::vector<double> SkewedPartitionSizes(double total_bytes, int n, double z);
 
 /// \brief Runtime skew-split rule (s6/s7): splits any partition larger

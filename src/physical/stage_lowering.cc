@@ -1,6 +1,7 @@
 #include "physical/stage_lowering.h"
 
 #include <cmath>
+#include <optional>
 
 #include "common/check.h"
 
@@ -136,9 +137,10 @@ JoinChoice ChooseJoin(const StageLowering& lw, int op_id) {
   return jc;
 }
 
-void LowerStage(const StageLowering& lw, CpuWorkRule cpu_rule,
-                QueryStage* st) {
-  SPARKOPT_DCHECK(!st->op_ids.empty()) << "stage " << st->id;
+void LowerStageRuns(const StageLowering& lw, CpuWorkRule cpu_rule,
+                    std::span<const int> op_ids, QueryStage* st,
+                    PartitionScratch* scratch) {
+  SPARKOPT_DCHECK(!op_ids.empty()) << "stage " << st->id;
   const LogicalPlan& plan = *lw.plan;
   auto stage_of = [&](int op) {
     const int sq = (*lw.subq_of_op)[op];
@@ -147,7 +149,7 @@ void LowerStage(const StageLowering& lw, CpuWorkRule cpu_rule,
 
   // ---- IO totals, CPU work ---------------------------------------------
   double skew = 0.0;
-  for (int id : st->op_ids) {
+  for (int id : op_ids) {
     const auto& op = plan.op(id);
     JoinChoice jc;
     if (op.type == OpType::kScan) {
@@ -176,7 +178,7 @@ void LowerStage(const StageLowering& lw, CpuWorkRule cpu_rule,
     }
     ChargeCpu(lw, cpu_rule, id, jc, st);
   }
-  const int root_op = st->op_ids.back();
+  const int root_op = op_ids.back();
   st->output_rows = lw.Rows(root_op);
   st->output_bytes = lw.Bytes(root_op);
   // Only the stage holding the plan root writes no shuffle.
@@ -198,25 +200,40 @@ void LowerStage(const StageLowering& lw, CpuWorkRule cpu_rule,
   } else {
     st->num_partitions = std::max(1, tp.shuffle_partitions);
   }
-  st->num_partitions = std::min(st->num_partitions, 4096);
-  st->partition_bytes =
-      SkewedPartitionSizes(st->input_bytes, st->num_partitions, skew);
-  if (!st->is_scan_stage) {
-    // AQE post-shuffle optimizations on this stage's input partitions.
-    if (st->has_join) {
-      st->partition_bytes = ApplySkewSplit(
-          std::move(st->partition_bytes), tp.skewed_partition_threshold_mb,
-          tp.skewed_partition_factor, tp.advisory_partition_size_mb);
-    }
-    st->partition_bytes = ApplyCoalesce(
-        std::move(st->partition_bytes), tp.advisory_partition_size_mb,
-        ts.rebalance_small_factor, ts.coalesce_min_partition_size_mb);
-    st->num_partitions = static_cast<int>(st->partition_bytes.size());
+  st->num_partitions = std::min(st->num_partitions, kMaxStagePartitions);
+  const ZipfTable* zipf = nullptr;
+  std::optional<ZipfTable> own_table;
+  if (skew != 0.0) {
+    zipf = lw.zipf != nullptr ? lw.zipf->Find(skew) : nullptr;
+    if (zipf == nullptr) zipf = &own_table.emplace(skew, st->num_partitions);
   }
+  if (st->is_scan_stage) {
+    PartitionRuns(st->input_bytes, st->num_partitions, zipf, nullptr, nullptr,
+                  scratch);
+  } else {
+    // AQE post-shuffle optimizations on this stage's input partitions.
+    const SkewSplitRule split{tp.skewed_partition_threshold_mb,
+                              tp.skewed_partition_factor,
+                              tp.advisory_partition_size_mb};
+    const CoalesceRule coalesce{tp.advisory_partition_size_mb,
+                                ts.rebalance_small_factor,
+                                ts.coalesce_min_partition_size_mb};
+    st->num_partitions = static_cast<int>(
+        PartitionRuns(st->input_bytes, st->num_partitions, zipf,
+                      st->has_join ? &split : nullptr, &coalesce, scratch));
+  }
+  SPARKOPT_DCHECK_GE(st->num_partitions, 1) << "stage " << st->id;
+}
+
+void LowerStage(const StageLowering& lw, CpuWorkRule cpu_rule,
+                QueryStage* st, PartitionScratch* scratch) {
+  PartitionScratch own_scratch;
+  if (scratch == nullptr) scratch = &own_scratch;
+  LowerStageRuns(lw, cpu_rule, st->op_ids, st, scratch);
+  ExpandRuns(scratch->runs, &st->partition_bytes);
   SPARKOPT_DCHECK_EQ(st->num_partitions,
                      static_cast<int>(st->partition_bytes.size()))
       << "stage " << st->id;
-  SPARKOPT_DCHECK_GE(st->num_partitions, 1) << "stage " << st->id;
 }
 
 QueryStage LowerSubQuery(const StageLowering& lw, const SubQuery& subq,

@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "physical/partitioner.h"
 #include "physical/physical_plan.h"
 
 /// \file stage_lowering.h
 /// \brief The one per-stage lowering, shared by the physical planner and
 /// the analytic subQ model (SubQEvaluator): the cardinality view, the
 /// join-algorithm rule, input/shuffle/broadcast accounting, CPU work,
-/// output size and partitioning (scan splits, Zipf sizes, skew split,
-/// coalesce).
+/// output size and partitioning (scan splits, then Zipf sizes, skew
+/// split and coalesce in the one-pass partitioner, partitioner.h).
 ///
 /// The planner lowers every stage it forms, BHJ-merged ones included
 /// (stage formation stays the planner's); the model lowers each subQ as
@@ -55,6 +57,10 @@ struct StageLowering {
   /// lowering then also fills `deps` and `broadcast_deps`. Null: every
   /// subQ is its own stage and the stage id is the subQ id.
   const std::vector<int>* stage_of_subq = nullptr;
+  /// The plan's Zipf tables, built once by the owner of this lowering.
+  /// Null (or missing a stage's skew): the lowering builds the table it
+  /// needs on each call.
+  const ZipfTables* zipf = nullptr;
 
   bool Known(int op) const {
     if (source == CardinalitySource::kTrue) return true;
@@ -89,8 +95,18 @@ JoinChoice ChooseJoin(const StageLowering& lw, int op);
 
 /// \brief Lowers a stage whose `id`, `subq_id` and `op_ids` (member
 /// operators in topological order) are set: fills every other field.
+/// `scratch`, when given, is reused for the partitioner's runs.
 void LowerStage(const StageLowering& lw, CpuWorkRule cpu_rule,
-                QueryStage* st);
+                QueryStage* st, PartitionScratch* scratch = nullptr);
+
+/// \brief LowerStage without materializing the partitions: lowers the
+/// member operators `op_ids` into `st` (whose own `op_ids` is not read)
+/// and leaves the partitions as runs in scratch->runs, with
+/// `st->partition_bytes` untouched. With a ZipfTables in `lw` and a
+/// reused scratch this allocates nothing (the analytic model's path).
+void LowerStageRuns(const StageLowering& lw, CpuWorkRule cpu_rule,
+                    std::span<const int> op_ids, QueryStage* st,
+                    PartitionScratch* scratch);
 
 /// \brief The stage `subq` becomes on its own (stage id = subQ id).
 QueryStage LowerSubQuery(const StageLowering& lw, const SubQuery& subq,

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -8,7 +9,12 @@
 #include "alloc_probe.h"
 #include "common/arena.h"
 #include "common/pareto_flat.h"
+#include "common/rng.h"
+#include "model/subq_evaluator.h"
 #include "moo/dag_aggregation.h"
+#include "params/sampler.h"
+#include "workload/tpcds.h"
+#include "workload/tpch.h"
 
 // ---------------------------------------------------------------------------
 // Replaceable global allocation functions. Every operator-new form
@@ -198,6 +204,60 @@ TEST_P(DagAggregatorAllocTest, WeightedSumAndBoundaryAreAllocationFree) {
 
 INSTANTIATE_TEST_SUITE_P(Objectives, DagAggregatorAllocTest,
                          ::testing::Values(2, 3));
+
+// Evaluates every subQ of `eval` under every conf, with estimated
+// cardinalities and with the first half of the subQs completed.
+double EvaluateAll(const SubQEvaluator& eval,
+                   const std::vector<std::vector<double>>& confs,
+                   const std::vector<bool>& half) {
+  const std::vector<bool>* const views[] = {nullptr, &half};
+  double sum = 0.0;
+  for (const auto& conf : confs) {
+    const ContextParams tc = DecodeContext(conf);
+    const PlanParams tp = DecodePlan(conf);
+    const StageParams ts = DecodeStage(conf);
+    for (const std::vector<bool>* completed : views) {
+      for (int sq = 0; sq < eval.num_subqs(); ++sq) {
+        sum += eval.Evaluate(sq, tc, tp, ts, CardinalitySource::kEstimated,
+                             completed)
+                   .analytical_latency;
+      }
+    }
+  }
+  return sum;
+}
+
+TEST(SteadyStateAllocTest, AnalyticEvaluateIsAllocationFreeAfterWarmup) {
+  const std::vector<TableStats> tpch = TpchCatalog(100.0);
+  const std::vector<TableStats> tpcds = TpcdsCatalog(100.0);
+  std::vector<Query> queries;
+  queries.push_back(*MakeTpchQuery(9, &tpch));
+  // The first TPC-DS plan with a skewed shuffle: its subQs partition
+  // through a Zipf table.
+  for (Query& q : TpcdsBenchmark(&tpcds)) {
+    const auto& order = q.plan.TopologicalOrder();
+    if (std::any_of(order.begin(), order.end(), [&](int id) {
+          return q.plan.op(id).shuffle_skew > 0.0;
+        })) {
+      queries.push_back(std::move(q));
+      break;
+    }
+  }
+  ASSERT_EQ(queries.size(), 2u);
+  Rng rng(11);
+  const auto confs = SampleLatinHypercube(SparkParamSpace(), 8, &rng);
+  for (const Query& q : queries) {
+    const SubQEvaluator eval(&q, ClusterSpec{}, CostModelParams{});
+    std::vector<bool> half(eval.num_subqs(), false);
+    std::fill(half.begin(), half.begin() + half.size() / 2, true);
+    // Warm-up: the thread's partition scratch reaches its high-water mark.
+    EvaluateAll(eval, confs, half);
+    AllocProbe probe;
+    const double sum = EvaluateAll(eval, confs, half);
+    EXPECT_EQ(probe.allocations(), 0u) << q.name;
+    EXPECT_GT(sum, 0.0);
+  }
+}
 
 TEST(SteadyStateAllocTest, ArenaResetReusesBlocks) {
   MonotonicArena arena;

@@ -18,7 +18,8 @@
 # key tuple (the config axes declared in tools/bench_schema.json) are
 # aggregated, every numeric metric becoming {"mean", "stddev", "runs"}.
 # Output shape:
-#   {"meta": {git_sha, git_dirty, date_utc, host, repeats, schema_version},
+#   {"meta": {git_sha, git_dirty, date_utc, host, nproc, cpu_model,
+#             repeats, schema_version},
 #    "results": {"<result name>": [aggregated record, ...], ...}}
 set -euo pipefail
 
@@ -59,6 +60,8 @@ for ((rep = 0; rep < REPEATS; ++rep)); do
     | grep '^RESULT ' >> "${tmp}"
   SPARKOPT_BENCH_FAST=1 "${BUILD_DIR}/bench/bench_pareto_ops" \
     --benchmark_filter='^$' | grep '^RESULT ' >> "${tmp}"
+  SPARKOPT_BENCH_FAST=1 "${BUILD_DIR}/bench/bench_model_inference" \
+    --benchmark_filter='^$' | grep '^RESULT ' >> "${tmp}"
   # Low-load open-loop service run: throughput/latency/speedup records
   # (fast mode shrinks the request counts, not the config matrix).
   SPARKOPT_BENCH_FAST=1 "${BUILD_DIR}/bench/bench_tuning_service" \
@@ -71,15 +74,33 @@ SPARKOPT_BENCH_FAST=1 "${BUILD_DIR}/bench/bench_runtime_overhead" \
 
 GIT_SHA=$(git -C "$(dirname "$0")/.." rev-parse --short HEAD 2>/dev/null || echo unknown)
 GIT_DIRTY=$(git -C "$(dirname "$0")/.." status --porcelain 2>/dev/null | grep -q . && echo true || echo false)
+# Host data, so a snapshot says what hardware its timings come from.
+NPROC=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)
 
-python3 - "${tmp}" "${OUT}" "${SCHEMA}" "${REPEATS}" "${GIT_SHA}" "${GIT_DIRTY}" <<'EOF'
+python3 - "${tmp}" "${OUT}" "${SCHEMA}" "${REPEATS}" "${GIT_SHA}" "${GIT_DIRTY}" "${NPROC}" <<'EOF'
 import datetime
 import json
 import math
+import platform
 import socket
 import sys
 
-lines_path, out_path, schema_path, repeats, git_sha, git_dirty = sys.argv[1:7]
+(lines_path, out_path, schema_path, repeats, git_sha, git_dirty,
+ nproc) = sys.argv[1:8]
+
+
+def cpu_model():
+    """The CPU model name from /proc/cpuinfo, else what platform knows."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
 with open(schema_path, encoding="utf-8") as f:
     schema = json.load(f)["results"]
 
@@ -121,6 +142,8 @@ snapshot = {
         "date_utc": datetime.datetime.now(datetime.timezone.utc)
                     .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "host": socket.gethostname(),
+        "nproc": int(nproc),
+        "cpu_model": cpu_model(),
         "repeats": int(repeats),
         "schema_version": 1,
     },

@@ -259,19 +259,34 @@ rule(
     "ParetoScratch outside common/pareto* and moo/dag_aggregation.*; call "
     "ParetoIndices (common/pareto.h) instead"))
 
-rule(
+_LOWERING_HELPER_RX = re.compile(
+    r"\b(SkewedPartitionSizes|ApplySkewSplit|ApplyCoalesce)\b")
+_LOWERING_HELPER_DEF_RX = re.compile(
+    r"^\s*std::vector<double>\s+"
+    r"(SkewedPartitionSizes|ApplySkewSplit|ApplyCoalesce)\s*\(")
+_LOWERING_HELPER_HOME = ("src/physical/physical_plan.h",
+                         "src/physical/physical_plan.cc")
+
+
+@rule(
     "stage-lowering",
-    "partitioning (Zipf sizes, skew split, coalesce) is part of the one "
-    "stage lowering in src/physical/ that the planner and the analytic "
-    "model share; other src/ code lowers stages through "
-    "LowerStage/LowerSubQuery instead of re-deriving partitions",
-    lambda relpath: (relpath.startswith("src/")
-                     and relpath.endswith((".h", ".cc", ".cpp"))
-                     and not relpath.startswith("src/physical/")),
-)(_token_rule(
-    r"\b(SkewedPartitionSizes|ApplySkewSplit|ApplyCoalesce)\b",
-    "partitioning helper outside src/physical/; lower the stage through "
-    "LowerStage/LowerSubQuery (physical/stage_lowering.h)"))
+    "the materializing partitioning helpers (SkewedPartitionSizes, "
+    "ApplySkewSplit, ApplyCoalesce) are test oracles for the one-pass "
+    "partitioner: no src/ code calls them, and only physical/physical_plan.* "
+    "declares and defines them; stages partition through "
+    "LowerStage/LowerSubQuery (physical/stage_lowering.h)",
+    _in("src/"),
+)
+def _stage_lowering(ctx):
+    home = ctx.relpath in _LOWERING_HELPER_HOME
+    for ln, line in enumerate(ctx.stripped_lines, 1):
+        if not _LOWERING_HELPER_RX.search(line):
+            continue
+        if home and _LOWERING_HELPER_DEF_RX.match(line):
+            continue
+        yield ln, ("partitioning oracle helper used in src/; lower the "
+                   "stage through LowerStage/LowerSubQuery "
+                   "(physical/stage_lowering.h)")
 
 @rule(
     "bench-result",

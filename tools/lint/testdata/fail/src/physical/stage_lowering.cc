@@ -1,4 +1,5 @@
-// Fixture: the lowering itself owns the partitioning helpers.
+// Fixture: the lowering partitions through PartitionRuns; calling the
+// materializing oracles from src/physical/ fires too.
 #include "physical/physical_plan.h"
 
 namespace sparkopt {
