@@ -1,9 +1,14 @@
 /// \file bench_runtime_overhead.cc
-/// \brief Reproduces the request-pruning result of Section 5.2 /
-/// Appendix C.2.2: the rules that bypass non-actionable collapsed-plan
-/// requests and skip scan/small query stages cut the total number of
-/// runtime optimization calls by 86% (TPC-H) and 92% (TPC-DS), plus the
-/// per-query optimizer-call overhead with and without pruning.
+/// \brief Reproduces the request-pruning experiment of Section 5.2 /
+/// Appendix C.2.2: how many runtime optimization calls the rule that
+/// bypasses non-actionable collapsed-plan (LQP) requests removes, plus
+/// the per-query optimizer-call overhead with and without pruning. The
+/// paper reports 86% (TPC-H) / 92% (TPC-DS) over LQP and query-stage
+/// requests together; the runtime optimizer here sends LQP requests only
+/// (query-stage theta_s requests are not made, DESIGN.md §5 item 9), so the
+/// counts cover LQP requests alone: 45 of 78 TPC-H calls sent (42.3%
+/// eliminated, 0.031 s overhead per query) and 55 of 179 on the 40-query
+/// TPC-DS subset (69.3%; 18 of 50, 64.0%, on the 10-query fast subset).
 
 #include <algorithm>
 #include <cstdio>

@@ -10,7 +10,7 @@ namespace sparkopt {
 
 Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
                                  std::vector<PlanParams> theta_p,
-                                 std::vector<StageParams> theta_s,
+                                 const std::vector<StageParams>& theta_s,
                                  AqeHooks* hooks, uint64_t seed,
                                  bool adaptive) const {
   AqeResult result;
@@ -54,7 +54,7 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
     replan_span.End();
     obs::Count("aqe.replans");
     if (!plan_or.ok()) return plan_or.status();
-    PhysicalPlan& pplan = *plan_or;
+    const PhysicalPlan& pplan = *plan_or;
     ++result.replans;
 
     // A stage is completed when every subQ of its member operators is.
@@ -77,33 +77,6 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
       if (deps_ok) ready.push_back(st.id);
     }
     if (ready.empty()) break;
-
-    // Step 9: query-stage optimization hook; re-plan if theta_s changed.
-    auto theta_s_before = theta_s;
-    hooks->OnStagesReady(pplan, ready, subqs, &theta_s);
-    bool theta_s_changed = false;
-    for (size_t i = 0; i < theta_s.size(); ++i) {
-      // Hooks may expand a single shared copy into per-subQ copies; the
-      // pre-hook value for index i is then the shared entry 0.
-      const auto& before =
-          theta_s_before[theta_s_before.size() == 1 ? 0 : i];
-      if (theta_s[i].rebalance_small_factor !=
-              before.rebalance_small_factor ||
-          theta_s[i].coalesce_min_partition_size_mb !=
-              before.coalesce_min_partition_size_mb) {
-        theta_s_changed = true;
-      }
-    }
-    if (theta_s_changed) {
-      obs::Span respan("aqe.replan");
-      auto replanned = planner_.Plan(theta_c, theta_p, theta_s,
-                                    CardinalitySource::kEstimated, completed);
-      obs::Count("aqe.replans");
-      if (!replanned.ok()) return replanned.status();
-      pplan = std::move(*replanned);
-      // Ready ids remain valid: stage formation depends on join algos and
-      // the completion mask, not theta_s; only partitioning changed.
-    }
 
     // Execute the wave.
     QueryExecution wave_exec = simulator_->RunStages(

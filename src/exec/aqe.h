@@ -11,10 +11,12 @@
 ///
 /// Executes a query wave by wave: after each wave of query stages
 /// completes, the logical plan is "collapsed" (completed subQs now expose
-/// their true cardinalities), the remaining plan is re-optimized by the
-/// parametric rules, and optimizer hooks may adjust theta_p for the
-/// collapsed plan and theta_s for newly ready stages — exactly the two
-/// runtime interception points the paper's OPT plugs into (steps 6/9).
+/// their true cardinalities), an optimizer hook may adjust theta_p for the
+/// collapsed plan (step 6 of Figure 2), and the remaining plan is
+/// re-planned once by the parametric rules. The paper's second
+/// interception point, a theta_s request per query stage (step 9), is not
+/// made: re-tuning theta_s changed no executed query enough to pay for its
+/// requests (DESIGN.md §5 item 9), so theta_s is fixed at submission.
 
 namespace sparkopt {
 
@@ -34,8 +36,7 @@ class AqeHooks {
     (void)plan; (void)subqs; (void)completed_subqs; (void)theta_p;
   }
 
-  /// Called with the stages about to execute. May rewrite the per-subQ
-  /// theta_s (step 9: query-stage optimization request).
+  /// Never called; kept because perfbench/trace.cc overrides it.
   virtual void OnStagesReady(const PhysicalPlan& plan,
                              const std::vector<int>& ready_stage_ids,
                              const std::vector<SubQuery>& subqs,
@@ -61,13 +62,14 @@ class AqeDriver {
       : plan_(plan), simulator_(simulator),
         planner_(plan, plan->DecomposeSubQueries()) {}
 
-  /// Runs the query to completion. `theta_p`/`theta_s` hold one entry per
-  /// subQ (fine-grained) or a single entry (query-level); hooks may mutate
-  /// them between waves. `adaptive` = false plans once from estimates and
-  /// never re-plans (AQE off).
+  /// Runs the query to completion, re-planning once per wave.
+  /// `theta_p`/`theta_s` hold one entry per subQ (fine-grained) or a
+  /// single entry (query-level); hooks may mutate theta_p between waves.
+  /// `adaptive` = false plans once from estimates and never re-plans (AQE
+  /// off).
   Result<AqeResult> Run(const ContextParams& theta_c,
                         std::vector<PlanParams> theta_p,
-                        std::vector<StageParams> theta_s,
+                        const std::vector<StageParams>& theta_s,
                         AqeHooks* hooks, uint64_t seed,
                         bool adaptive = true) const;
 

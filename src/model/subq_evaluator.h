@@ -44,6 +44,8 @@ class SubQEvaluator {
 
   int num_subqs() const { return static_cast<int>(subqs_.size()); }
   const std::vector<SubQuery>& subqueries() const { return subqs_; }
+  /// op id -> subQ id.
+  const std::vector<int>& subq_of_op() const { return subq_of_op_; }
   const Query& query() const { return *query_; }
 
   /// \brief Builds the query stage this subQ becomes under the given

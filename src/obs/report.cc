@@ -55,9 +55,7 @@ std::string TuningReport::ToText() const {
          Fmt("%.4f", RuntimeResolveSeconds()) + " s inside solver, " +
          Fmt("%.4f", runtime_overhead_seconds) + " s simulated round-trips)\n";
   out += "  requests         : LQP " + std::to_string(lqp_sent) + " sent / " +
-         std::to_string(lqp_pruned) + " pruned, QS " +
-         std::to_string(qs_sent) + " sent / " + std::to_string(qs_pruned) +
-         " pruned\n";
+         std::to_string(lqp_pruned) + " pruned\n";
   for (const auto& r : runtime_resolves) {
     out += "  - " + r.kind + " re-solve at " + Fmt("%.3f", r.at_seconds) +
            " s: " + Fmt("%.4f", r.seconds) + " s\n";
@@ -118,8 +116,6 @@ Json TuningReport::ToJsonValue() const {
   runtime.emplace_back("overhead_seconds", Json(runtime_overhead_seconds));
   runtime.emplace_back("lqp_sent", Json(lqp_sent));
   runtime.emplace_back("lqp_pruned", Json(lqp_pruned));
-  runtime.emplace_back("qs_sent", Json(qs_sent));
-  runtime.emplace_back("qs_pruned", Json(qs_pruned));
   root.emplace_back("runtime", Json(std::move(runtime)));
 
   JsonObject model;
@@ -182,8 +178,6 @@ Result<TuningReport> TuningReport::FromJson(const std::string& text) {
     r.runtime_overhead_seconds = runtime->GetNumber("overhead_seconds");
     r.lqp_sent = static_cast<int64_t>(runtime->GetNumber("lqp_sent"));
     r.lqp_pruned = static_cast<int64_t>(runtime->GetNumber("lqp_pruned"));
-    r.qs_sent = static_cast<int64_t>(runtime->GetNumber("qs_sent"));
-    r.qs_pruned = static_cast<int64_t>(runtime->GetNumber("qs_pruned"));
   }
   if (const Json* model = j.Find("model")) {
     r.model_inferences =

@@ -25,7 +25,7 @@ namespace obs {
 
 /// One runtime re-solve observed during adaptive execution.
 struct ResolveRecord {
-  std::string kind;       ///< "lqp" (collapsed-plan) or "qs" (query-stage)
+  std::string kind;       ///< "lqp" (collapsed-plan), the only kind sent
   double seconds = 0.0;   ///< time spent inside the re-solve
   double at_seconds = 0.0;  ///< session time when it started
 };
@@ -44,7 +44,6 @@ struct TuningReport {
   std::vector<ResolveRecord> runtime_resolves;
   double runtime_overhead_seconds = 0.0;
   int64_t lqp_sent = 0, lqp_pruned = 0;
-  int64_t qs_sent = 0, qs_pruned = 0;
 
   // ---- Model inference -------------------------------------------------
   uint64_t model_inferences = 0;

@@ -150,7 +150,7 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   };
   // subQ-level producer -> consumer edges, for the cycle guard below.
   std::vector<std::vector<int>> subq_consumers(m);
-  for (int id = 0; id < plan.num_ops(); ++id) {
+  for (int id = 0; id < static_cast<int>(plan.num_ops()); ++id) {
     for (int c : plan.op(id).children) {
       if (subq_of_[c] != subq_of_[id]) {
         subq_consumers[subq_of_[c]].push_back(subq_of_[id]);

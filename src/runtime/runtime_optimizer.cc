@@ -14,15 +14,10 @@ namespace sparkopt {
 
 namespace {
 
-// theta_p (9 dims) and theta_s (2 dims) subspaces.
+// theta_p (9 dims) subspace.
 const ParamSpace& PlanSpace() {
   static const ParamSpace space =
       SparkParamSpace().Subspace(ParamCategory::kPlan);
-  return space;
-}
-const ParamSpace& StageSpace() {
-  static const ParamSpace space =
-      SparkParamSpace().Subspace(ParamCategory::kStage);
   return space;
 }
 
@@ -30,11 +25,6 @@ PlanParams PlanFromSub(const std::vector<double>& sub) {
   std::vector<double> conf = DefaultSparkConfig();
   for (size_t i = 0; i < sub.size() && i < 9; ++i) conf[8 + i] = sub[i];
   return DecodePlan(conf);
-}
-StageParams StageFromSub(const std::vector<double>& sub) {
-  std::vector<double> conf = DefaultSparkConfig();
-  for (size_t i = 0; i < sub.size() && i < 2; ++i) conf[17 + i] = sub[i];
-  return DecodeStage(conf);
 }
 
 // Weighted pick over candidates' (latency, cost[, io_gb]), normalized by
@@ -101,8 +91,10 @@ void RuntimeOptimizer::OnPlanCollapsed(const LogicalPlan& plan,
                                        std::vector<PlanParams>* theta_p) {
   // Pruning (Appendix C.2.2): LQP parametric rules decide join
   // algorithms, so a request is useful only when some remaining subQ
-  // contains a join whose inputs are now all completed.
-  const std::vector<int> subq_of = plan.SubQueryOfOp(subqs);
+  // contains a join whose inputs are now all completed. `plan` and
+  // `subqs` are the evaluator's query, so its op -> subQ map applies.
+  const std::vector<int>& subq_of = evaluator_->subq_of_op();
+  SPARKOPT_DCHECK_EQ(subq_of.size(), plan.num_ops());
   std::vector<int> actionable;
   for (const auto& sq : subqs) {
     if (completed[sq.id]) continue;
@@ -180,72 +172,6 @@ void RuntimeOptimizer::OnPlanCollapsed(const LogicalPlan& plan,
     const size_t best = PickWeighted(objs, opts_.preference, /*hyst=*/0.12);
     (*theta_p)[sq_id] = cands[best];
   });
-  last_completed_ = completed;
-  last_theta_p_ = *theta_p;
-}
-
-void RuntimeOptimizer::OnStagesReady(const PhysicalPlan& plan,
-                                     const std::vector<int>& ready,
-                                     const std::vector<SubQuery>& subqs,
-                                     std::vector<StageParams>* theta_s) {
-  const int m = static_cast<int>(subqs.size());
-  if (static_cast<int>(theta_s->size()) == 1 && m > 1) {
-    theta_s->assign(m, theta_s->front());
-  }
-  Rng rng(HashCombine(opts_.seed, 0x5A + stats_.qs_sent));
-  // Candidate and objective buffers live across the stage loop; each
-  // stage clears and refills them instead of reallocating.
-  std::vector<StageParams> cands;
-  std::vector<SubQObjectives> objs;
-  for (int sid : ready) {
-    const auto& st = plan.stages[sid];
-    // Pruning: QS rules rebalance post-shuffle partitions — skip scan
-    // stages and stages below the advisory partition size.
-    if (opts_.enable_pruning &&
-        (st.is_scan_stage || st.input_bytes < 64.0 * 1024 * 1024)) {
-      ++stats_.qs_pruned;
-      obs::Count("runtime.qs_pruned");
-      continue;
-    }
-    ++stats_.qs_sent;
-    overhead_s_ += opts_.request_overhead_s;
-    obs::Count("runtime.qs_sent");
-    obs::Span span("runtime.qs_resolve");
-    span.Arg("stage", sid);
-    obs::ScopedHistogramTimer resolve_timer(
-        obs::HistogramFor("runtime.qs_resolve_us"));
-
-    const int sq_id = std::min(st.subq_id, m - 1);
-    // Evaluate theta_s candidates under the theta_p actually in force for
-    // this stage (from the last collapsed-plan optimization, if any).
-    const PlanParams tp =
-        last_theta_p_.empty()
-            ? PlanParams{}
-            : last_theta_p_[std::min<size_t>(sq_id,
-                                             last_theta_p_.size() - 1)];
-    cands.clear();
-    cands.push_back((*theta_s)[sq_id]);
-    if (!init_theta_s_.empty()) {
-      cands.push_back(init_theta_s_[std::min<size_t>(
-          sq_id, init_theta_s_.size() - 1)]);
-    }
-    const auto samples = SampleLatinHypercube(
-        StageSpace(), static_cast<size_t>(opts_.theta_s_candidates), &rng,
-        /*margin=*/0.05);
-    for (const auto& s : samples) cands.push_back(StageFromSub(s));
-    const std::vector<bool>* done =
-        last_completed_.empty() ? nullptr : &last_completed_;
-    // The stage loop itself is sequential (shared rng; later stages may
-    // rewrite the same theta_s slot), but the candidate evaluations are
-    // independent — fan them out by index.
-    objs.assign(cands.size(), SubQObjectives{});
-    workers_.ParallelFor(cands.size(), [&](size_t k) {
-      objs[k] = evaluator_->Evaluate(sq_id, context_, tp, cands[k],
-                                     CardinalitySource::kEstimated, done);
-    });
-    const size_t best = PickWeighted(objs, opts_.preference, /*hyst=*/0.12);
-    (*theta_s)[sq_id] = cands[best];
-  }
 }
 
 void AggregateForSubmission(

